@@ -42,7 +42,6 @@ from .expr import (
     Mul,
     Pow,
     Var,
-    eval_expr,
     eval_value,
     expr_from_obj,
     expr_to_obj,
@@ -50,7 +49,7 @@ from .expr import (
     substitute,
     variables,
 )
-from .jets import Jet2, univariate_jet
+from .jets import propagate, univariate_jet
 from .points import Point, as_point
 
 __all__ = [
@@ -351,14 +350,11 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     for coords in mesh:
         point = Point(coords)
         try:
-            out = eval_expr(spec.body, [Jet2.seed(x, i, spec.n) for i, x in enumerate(coords)])
+            out = propagate(spec, coords)
         except DomainViolation as e:
             findings.append(Diagnostic(point, "evaluation_error", str(e)))
             continue
-        if isinstance(out, Jet2):
-            value, gradient = out.f, out.g
-        else:
-            value, gradient = out, np.zeros(spec.n)
+        value, gradient = out.f, out.g
         if not math.isfinite(value) or value <= 0.0:
             findings.append(
                 Diagnostic(point, "nonpositive_output", f"f = {value!r}", value=float(value))
@@ -430,12 +426,19 @@ def _params_to_obj(params: dict):
 
 
 def _params_from_obj(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ExpressionError(f"field 'params' must be an object, got {obj!r}")
     out = {}
     for key, value in obj.items():
-        if isinstance(value, list):
-            out[key] = tuple(float(v) for v in value)
-        else:
-            out[key] = float(value)
+        try:
+            if isinstance(value, list):
+                out[key] = tuple(float(v) for v in value)
+            else:
+                out[key] = float(value)
+        except (TypeError, ValueError):
+            raise ExpressionError(
+                f"parameter {key!r} must be a number or a list of numbers, got {value!r}"
+            ) from None
     return out
 
 
@@ -468,6 +471,8 @@ def spec_from_json_obj(obj: dict) -> FunctionSpec:
         raise ExpressionError(f"field 'family' must be a string, got {family!r}")
     outer = obj.get("outer")
     inners = obj.get("inners")
+    if inners is not None and not isinstance(inners, list):
+        raise ExpressionError(f"field 'inners' must be an array, got {inners!r}")
     return FunctionSpec(
         n=n,
         body=expr_from_obj(body),

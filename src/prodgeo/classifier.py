@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,6 @@ from .geometry import (
     mean_curvature_of_jet,
     riemann_component,
     sectional_curvature,
-    slope_w,
 )
 from .jets import SecondOrderJet, jet
 from .points import Point
@@ -93,6 +93,10 @@ class SampleGrid:
         for lo, hi in box:
             if not (0.0 < lo < hi) or not math.isfinite(hi):
                 raise ParameterViolation(f"grid bounds must satisfy 0 < lo < hi, got {(lo, hi)!r}")
+            # A jitter draw lo * (hi / lo) ** u above lo is at least lo * (1 + eps);
+            # if that is not below hi, points() would reject draws forever.
+            if not lo * (1.0 + sys.float_info.epsilon) < hi:
+                raise ParameterViolation(f"grid axis {(lo, hi)!r} is too narrow to sample")
         if self.points_per_axis < 2:
             raise ParameterViolation("points_per_axis must be at least 2")
         if self.jitter_points < 0:
@@ -232,7 +236,10 @@ def _annotate(exc: ProdGeoError, point: Point):
         exc.args = (f"{exc.args[0]} at point {tuple(point.coords)}",) + exc.args[1:]
 
 
-def _grid_jets(spec: FunctionSpec, points: list[Point]) -> list[SecondOrderJet]:
+def _evaluate_grid(spec: FunctionSpec, grid: SampleGrid) -> tuple[list[Point], list[SecondOrderJet]]:
+    if grid.n != spec.n:
+        raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
+    points = grid.points()
     jets = []
     for p in points:
         try:
@@ -240,42 +247,87 @@ def _grid_jets(spec: FunctionSpec, points: list[Point]) -> list[SecondOrderJet]:
         except ProdGeoError as e:
             _annotate(e, p)
             raise
-    return jets
+    return points, jets
 
 
 # ---------------------------------------------------------------------------
-# Noise scales
+# Grid passes
 # ---------------------------------------------------------------------------
 
-def _row_norms(h: np.ndarray) -> np.ndarray:
-    return np.sqrt((h * h).sum(axis=1))
+def _curvature_stats(
+    points: list[Point], jets: list[SecondOrderJet], tol: TolerancePolicy
+) -> tuple[dict[str, tuple[_Extreme, float]], _Extreme]:
+    """Extremes of every curvature indicator over the grid, in one pass.
+
+    Returns a map from each zero check, named as its property, to the
+    extremes of |quantity| and its noise-scaled threshold; and the
+    extremes of each point's largest |Riemann component|.
+    """
+    n = len(points[0])
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    quads = canonical_riemann_quads(n)
+    k_ext, r_ext, h_ext, s_ext, pointwise_max_r = (_Extreme() for _ in range(5))
+    k_noise = r_noise = s_noise = h_noise = 0.0
+    for p, j in zip(points, jets):
+        g, h = j.gradient, j.hessian
+        row_norms = np.sqrt((h * h).sum(axis=1))
+        w2 = 1.0 + float(g @ g)
+        w = math.sqrt(w2)
+        ag = np.abs(g)
+        k_ext.update(gauss_kronecker(j), p)
+        h_ext.update(mean_curvature_of_jet(j), p)
+        # Noise scales: a Hadamard-type bound on the quantity's terms (row
+        # norm products for determinants and minors) over its normalizer.
+        k_noise = max(k_noise, float(np.prod(row_norms)) / w ** (n + 2))
+        mean_noise = (float(np.abs(np.diag(h)).sum()) / w + float(ag @ np.abs(h) @ ag) / w**3) / n
+        h_noise = max(h_noise, mean_noise)
+        max_r_here = 0.0
+        for q in quads:
+            r = riemann_component(j, *q)
+            r_ext.update(r, p)
+            max_r_here = max(max_r_here, abs(r))
+        pointwise_max_r.update(max_r_here, p)
+        for i, k in pairs:
+            s_ext.update(sectional_curvature(j, i, k), p)
+            minor_noise = float(row_norms[i] * row_norms[k])
+            r_noise = max(r_noise, minor_noise / (w2 * w2))
+            s_noise = max(s_noise, minor_noise / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k])))
+    zero = {
+        "vanishing_gk": (k_ext, tol.zero_abs + tol.zero_rel * k_noise),
+        "flat": (r_ext, tol.zero_abs + tol.zero_rel * r_noise),
+        "minimal": (h_ext, tol.zero_abs + tol.zero_rel * h_noise),
+        "vanishing_sectional": (s_ext, tol.zero_abs + tol.zero_rel * s_noise),
+    }
+    return zero, pointwise_max_r
 
 
-def _det_noise(j: SecondOrderJet) -> float:
-    # Hadamard bound on |det Hess| / w^(n+2): product of Hessian row
-    # norms over the same normalizer the curvature uses.
-    rn = _row_norms(j.hessian)
-    return float(np.prod(rn)) / slope_w(j) ** (j.n + 2)
-
-
-def _minor_noise(j: SecondOrderJet, i: int, k: int) -> float:
-    rn = _row_norms(j.hessian)
-    w2 = 1.0 + float(j.gradient @ j.gradient)
-    return float(rn[i] * rn[k]) / (w2 * w2)
-
-
-def _sectional_noise(j: SecondOrderJet, i: int, k: int) -> float:
-    rn = _row_norms(j.hessian)
-    g = j.gradient
-    w2 = 1.0 + float(g @ g)
-    return float(rn[i] * rn[k]) / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k]))
-
-
-def _mean_noise(j: SecondOrderJet) -> float:
-    g, h = j.gradient, j.hessian
-    w = slope_w(j)
-    ag = np.abs(g)
-    return (float(np.abs(np.diag(h)).sum()) / w + float(ag @ np.abs(h) @ ag) / w**3) / j.n
+def _substitution_stats(
+    points: list[Point], jets: list[SecondOrderJet]
+) -> tuple[list[list[float]], _Extreme, list[float], list[Point]]:
+    """Output elasticities per input, the proportional-MRS deviation, and
+    the Hicks elasticity of every pair at every point with its point."""
+    n = len(points[0])
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    elasticity_values: list[list[float]] = [[] for _ in range(n)]
+    mrs_dev = _Extreme()
+    hicks_values: list[float] = []
+    hicks_points: list[Point] = []
+    for p, j in zip(points, jets):
+        try:
+            for i in range(n):
+                elasticity_values[i].append(output_elasticity(j, p, i))
+            for i in range(n):
+                for k in range(n):
+                    if i != k:
+                        # proportional MRS means MRS_ik == x_i / x_k
+                        mrs_dev.update(mrs(j, i, k) * p[k] / p[i] - 1.0, p)
+            for i, k in pairs:
+                hicks_values.append(hicks_elasticity(j, p, i, k))
+                hicks_points.append(p)
+        except ProdGeoError as e:
+            _annotate(e, p)
+            raise
+    return elasticity_values, mrs_dev, hicks_values, hicks_points
 
 
 # ---------------------------------------------------------------------------
@@ -314,103 +366,35 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     Requires the spec to be valid on the grid (``validate`` clean);
     evaluation errors propagate with the offending point attached.
     """
-    if grid.n != spec.n:
-        raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     tol = tol or TolerancePolicy()
-    points = grid.points()
-    jets = _grid_jets(spec, points)
-    n = spec.n
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    quads = canonical_riemann_quads(n)
-
-    k_ext = _Extreme()
-    r_ext = _Extreme()
-    s_ext = _Extreme()
-    h_ext = _Extreme()
-    mrs_dev = _Extreme()
-    k_noise = r_noise = s_noise = h_noise = 0.0
-    elasticity_values: list[list[float]] = [[] for _ in range(n)]
-    hicks_values: list[float] = []
-    hicks_points: list[Point] = []
-
-    for p, j in zip(points, jets):
-        k_ext.update(gauss_kronecker(j), p)
-        h_ext.update(mean_curvature_of_jet(j), p)
-        k_noise = max(k_noise, _det_noise(j))
-        h_noise = max(h_noise, _mean_noise(j))
-        for q in quads:
-            r_ext.update(riemann_component(j, *q), p)
-        for i, k in pairs:
-            s_ext.update(sectional_curvature(j, i, k), p)
-            r_noise = max(r_noise, _minor_noise(j, i, k))
-            s_noise = max(s_noise, _sectional_noise(j, i, k))
-        try:
-            for i in range(n):
-                elasticity_values[i].append(output_elasticity(j, p, i))
-            for i in range(n):
-                for k in range(n):
-                    if i != k:
-                        # proportional MRS means MRS_ik == x_i / x_k
-                        mrs_dev.update(mrs(j, i, k) * p[k] / p[i] - 1.0, p)
-            for i, k in pairs:
-                hicks_values.append(hicks_elasticity(j, p, i, k))
-                hicks_points.append(p)
-        except ProdGeoError as e:
-            _annotate(e, p)
-            raise
-
-    thr_k = tol.zero_abs + tol.zero_rel * k_noise
-    thr_r = tol.zero_abs + tol.zero_rel * r_noise
-    thr_s = tol.zero_abs + tol.zero_rel * s_noise
-    thr_h = tol.zero_abs + tol.zero_rel * h_noise
-
-    def zero_verdict(name: str, ext: _Extreme, threshold: float) -> PropertyVerdict:
-        return PropertyVerdict(
+    points, jets = _evaluate_grid(spec, grid)
+    # Substitution first, so that an evaluation error at any point is
+    # reported rather than a curvature overflow at a later one.
+    elasticity_values, mrs_dev, hicks_values, hicks_points = _substitution_stats(points, jets)
+    zero, _ = _curvature_stats(points, jets, tol)
+    bounded = {**zero, "proportional_mrs": (mrs_dev, tol.constancy_rel)}
+    properties = [
+        PropertyVerdict(
             name=name,
             holds=bool(ext.max <= threshold),
             worst_point=ext.max_point,
             worst_value=float(ext.max),
             threshold_used=float(threshold),
         )
-
-    properties = [
-        zero_verdict("vanishing_gk", k_ext, thr_k),
-        zero_verdict("flat", r_ext, thr_r),
-        zero_verdict("minimal", h_ext, thr_h),
-        zero_verdict("vanishing_sectional", s_ext, thr_s),
-        PropertyVerdict(
-            name="proportional_mrs",
-            holds=bool(mrs_dev.max <= tol.constancy_rel),
-            worst_point=mrs_dev.max_point,
-            worst_value=float(mrs_dev.max),
-            threshold_used=float(tol.constancy_rel),
-        ),
+        for name, (ext, threshold) in bounded.items()
     ]
-    for i in range(n):
-        properties.append(
-            _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticity_values[i], points, tol)
-        )
+    for i, values in enumerate(elasticity_values):
+        properties.append(_constancy_verdict(f"constant_elasticity_x{i + 1}", values, points, tol))
     properties.append(_constancy_verdict("ces", hicks_values, hicks_points, tol))
-    return ClassificationVerdict(family=spec.family, n=n, properties=tuple(properties))
+    return ClassificationVerdict(family=spec.family, n=spec.n, properties=tuple(properties))
 
 
 def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    if grid.n != spec.n:
-        raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
-    points = grid.points()
-    jets = _grid_jets(spec, points)
-    pairs = [(i, k) for i in range(spec.n) for k in range(i + 1, spec.n)]
-    values = []
-    for p, j in zip(points, jets):
-        try:
-            for i, k in pairs:
-                values.append(hicks_elasticity(j, p, i, k))
-        except ProdGeoError as e:
-            _annotate(e, p)
-            raise
+    points, jets = _evaluate_grid(spec, grid)
+    _, _, values, _ = _substitution_stats(points, jets)
     return sum(values) / len(values), max(values) - min(values)
 
 
@@ -589,61 +573,20 @@ def catalog_fixtures() -> list[CatalogFixture]:
     return fixtures
 
 
-@dataclass
-class _CurvatureStats:
-    k: _Extreme = field(default_factory=_Extreme)
-    r: _Extreme = field(default_factory=_Extreme)
-    s: _Extreme = field(default_factory=_Extreme)
-    pointwise_max_r_min: float = math.inf
-    pointwise_max_r_min_point: Optional[Point] = None
-    thr_k: float = 0.0
-    thr_r: float = 0.0
-    thr_s: float = 0.0
-
-
-def _curvature_stats(spec: FunctionSpec, grid: SampleGrid, tol: TolerancePolicy) -> _CurvatureStats:
-    points = grid.points()
-    jets = _grid_jets(spec, points)
-    n = spec.n
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    quads = canonical_riemann_quads(n)
-    stats = _CurvatureStats()
-    k_noise = r_noise = s_noise = 0.0
-    for p, j in zip(points, jets):
-        stats.k.update(gauss_kronecker(j), p)
-        k_noise = max(k_noise, _det_noise(j))
-        max_r_here = 0.0
-        for q in quads:
-            r = riemann_component(j, *q)
-            stats.r.update(r, p)
-            max_r_here = max(max_r_here, abs(r))
-        if max_r_here < stats.pointwise_max_r_min:
-            stats.pointwise_max_r_min = max_r_here
-            stats.pointwise_max_r_min_point = p
-        for i, k in pairs:
-            stats.s.update(sectional_curvature(j, i, k), p)
-            r_noise = max(r_noise, _minor_noise(j, i, k))
-            s_noise = max(s_noise, _sectional_noise(j, i, k))
-    stats.thr_k = tol.zero_abs + tol.zero_rel * k_noise
-    stats.thr_r = tol.zero_abs + tol.zero_rel * r_noise
-    stats.thr_s = tol.zero_abs + tol.zero_rel * s_noise
-    return stats
-
-
-def _run_check(fx: CatalogFixture, check: str, st: _CurvatureStats) -> ExpectationResult:
-    if check == "vanishing_gk":
-        passed, observed, bound, witness = st.k.max <= st.thr_k, st.k.max, st.thr_k, st.k.max_point
+def _run_check(
+    fx: CatalogFixture, check: str, zero: dict[str, tuple[_Extreme, float]], pointwise_max_r: _Extreme
+) -> ExpectationResult:
+    if check in ("vanishing_gk", "flat", "vanishing_sectional"):
+        ext, bound = zero[check]
+        passed, observed, witness = ext.max <= bound, ext.max, ext.max_point
     elif check == "nonvanishing_gk":
-        bound = 10.0 * st.thr_k
-        passed, observed, witness = st.k.min >= bound, st.k.min, st.k.min_point
-    elif check == "flat":
-        passed, observed, bound, witness = st.r.max <= st.thr_r, st.r.max, st.thr_r, st.r.max_point
+        ext, threshold = zero["vanishing_gk"]
+        bound = 10.0 * threshold
+        passed, observed, witness = ext.min >= bound, ext.min, ext.min_point
     elif check == "nonflat_everywhere":
-        bound = 10.0 * st.thr_r
-        observed = st.pointwise_max_r_min
-        passed, witness = observed >= bound, st.pointwise_max_r_min_point
-    elif check == "vanishing_sectional":
-        passed, observed, bound, witness = st.s.max <= st.thr_s, st.s.max, st.thr_s, st.s.max_point
+        bound = 10.0 * zero["flat"][1]
+        observed, witness = pointwise_max_r.min, pointwise_max_r.min_point
+        passed = observed >= bound
     else:
         raise ParameterViolation(f"unknown check {check!r}")
     return ExpectationResult(
@@ -663,8 +606,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tol = tol or TolerancePolicy()
     results = []
     for fx in catalog_fixtures():
-        grid = default_grid(fx.spec.n, seed=fx.seed)
-        stats = _curvature_stats(fx.spec, grid, tol)
+        points, jets = _evaluate_grid(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
+        zero, pointwise_max_r = _curvature_stats(points, jets, tol)
         for check in fx.checks:
-            results.append(_run_check(fx, check, stats))
+            results.append(_run_check(fx, check, zero, pointwise_max_r))
     return CatalogReport(tuple(results))

@@ -280,10 +280,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handlers = {"analyze": _cmd_analyze, "classify": _cmd_classify, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except INPUT_ERRORS as e:
+    except (_InputError, *INPUT_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except EVALUATION_ERRORS as e:

@@ -52,12 +52,6 @@ __all__ = [
 ZERO_MARGINAL_RTOL = 1e-12
 
 
-def _check_index(j: SecondOrderJet, *idx: int):
-    for i in idx:
-        if not 0 <= i < j.n:
-            raise IndexError(f"input index {i} out of range for n={j.n}")
-
-
 def _marginal(j: SecondOrderJet, i: int) -> float:
     gi = float(j.gradient[i])
     gnorm = math.sqrt(float(j.gradient @ j.gradient))
@@ -68,14 +62,14 @@ def _marginal(j: SecondOrderJet, i: int) -> float:
 
 def output_elasticity(j: SecondOrderJet, p, i: int) -> float:
     """Percentage output response to a percentage change of input i."""
-    _check_index(j, i)
+    j.check_index(i)
     point = as_point(p)
     return point[i] * float(j.gradient[i]) / j.value
 
 
 def mrs(j: SecondOrderJet, i: int, k: int) -> float:
     """Marginal rate of technical substitution of input k for input i."""
-    _check_index(j, i, k)
+    j.check_index(i, k)
     return float(j.gradient[k]) / _marginal(j, i)
 
 
@@ -85,7 +79,7 @@ def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> float:
     The formula is symmetric in (i, k); arguments are ordered internally
     so the returned value is identical bit for bit either way.
     """
-    _check_index(j, i, k)
+    j.check_index(i, k)
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
     i, k = (i, k) if i < k else (k, i)
@@ -120,20 +114,30 @@ def allen_determinant(j: SecondOrderJet) -> float:
     return det_pivoted(allen_bordered_matrix(j))
 
 
+def _check_bordered(b: np.ndarray, delta: float):
+    scale = 1.0
+    for row in b:
+        scale *= math.sqrt(float(row @ row))
+    if abs(delta) <= ZERO_MARGINAL_RTOL * (1.0 + scale):
+        raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({delta!r})")
+
+
 def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> float:
     """Allen elasticity of substitution between inputs i and k."""
-    _check_index(j, i, k)
+    j.check_index(i, k)
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
     i, k = (i, k) if i < k else (k, i)
     point = as_point(p)
     b = allen_bordered_matrix(j)
     delta = det_pivoted(b)
-    scale = 1.0
-    for row in b:
-        scale *= math.sqrt(float(row @ row))
-    if abs(delta) <= ZERO_MARGINAL_RTOL * (1.0 + scale):
-        raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({delta!r})")
+    _check_bordered(b, delta)
+    return _allen_of_bordered(j, point, b, delta, i, k)
+
+
+def _allen_of_bordered(j: SecondOrderJet, point: Point, b: np.ndarray, delta: float, i: int, k: int) -> float:
+    """Allen elasticity of the pair i < k from the checked bordered matrix
+    ``b`` and its determinant ``delta``."""
     minor = np.delete(np.delete(b, i + 1, axis=0), k + 1, axis=1)
     cofactor = (-1.0) ** ((i + 1) + (k + 1)) * det_pivoted(minor)
     weighted = float(np.array(point.coords) @ j.gradient)
@@ -167,10 +171,16 @@ def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
         for k in range(n):
             if i != k:
                 mrs_m[i, k] = mrs(j, i, k)
+    b = allen_bordered_matrix(j)
+    delta = det_pivoted(b)
     for i in range(n):
         for k in range(i + 1, n):
             hicks_m[i, k] = hicks_m[k, i] = hicks_elasticity(j, point, i, k)
-            allen_m[i, k] = allen_m[k, i] = allen_elasticity(j, point, i, k)
+            if (i, k) == (0, 1):
+                # After the first Hicks value: a point where both fail
+                # reports the Hicks error, as allen_elasticity per pair would.
+                _check_bordered(b, delta)
+            allen_m[i, k] = allen_m[k, i] = _allen_of_bordered(j, point, b, delta, i, k)
     for m in (elasticities, mrs_m, hicks_m, allen_m):
         m.setflags(write=False)
     return SubstitutionSample(
@@ -179,5 +189,5 @@ def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
         mrs=mrs_m,
         hicks=hicks_m,
         allen=allen_m,
-        allen_determinant=allen_determinant(j),
+        allen_determinant=delta,
     )

@@ -49,6 +49,7 @@ __all__ = [
     "canonical_riemann_quads",
     "CurvatureSample",
     "curvature_sample",
+    "curvature_sample_of_jet",
     "quasi_product_hessian_det",
 ]
 
@@ -94,15 +95,9 @@ def minimality_residual(j: SecondOrderJet) -> float:
     return tr + float(g @ g) * tr - float(g @ h @ g)
 
 
-def _check_index(j: SecondOrderJet, *idx: int):
-    for i in idx:
-        if not 0 <= i < j.n:
-            raise IndexError(f"input index {i} out of range for n={j.n}")
-
-
 def sectional_curvature(j: SecondOrderJet, i: int, k: int) -> float:
     """Curvature of the coordinate plane section spanned by axes i and k."""
-    _check_index(j, i, k)
+    j.check_index(i, k)
     if i == k:
         raise IndexError("sectional curvature needs two distinct axes")
     g, h = j.gradient, j.hessian
@@ -113,7 +108,7 @@ def sectional_curvature(j: SecondOrderJet, i: int, k: int) -> float:
 
 def riemann_component(j: SecondOrderJet, i: int, k: int, l: int, m: int) -> float:
     """Component R(d_i, d_k, d_l, d_m) = (f_im f_kl - f_il f_km) / w^4."""
-    _check_index(j, i, k, l, m)
+    j.check_index(i, k, l, m)
     g, h = j.gradient, j.hessian
     w2 = 1.0 + float(g @ g)
     return float(h[i, m] * h[k, l] - h[i, l] * h[k, m]) / (w2 * w2)
@@ -150,7 +145,12 @@ class CurvatureSample:
 
 def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
     point = as_point(p)
-    j = jet(spec, point)
+    return curvature_sample_of_jet(jet(spec, point), point, extra_quads)
+
+
+def curvature_sample_of_jet(j: SecondOrderJet, p, extra_quads=()) -> CurvatureSample:
+    """Every curvature quantity at ``p`` from the jet there."""
+    point = as_point(p)
     n = j.n
     sect = np.full((n, n), math.nan)
     for i in range(n):

@@ -152,6 +152,12 @@ class SecondOrderJet:
     def n(self) -> int:
         return self.gradient.shape[0]
 
+    def check_index(self, *idx: int) -> None:
+        """Raise IndexError unless every index names an input."""
+        for i in idx:
+            if not 0 <= i < self.n:
+                raise IndexError(f"input index {i} out of range for n={self.n}")
+
 
 def _freeze_jet(value: float, gradient: np.ndarray, hessian: np.ndarray) -> SecondOrderJet:
     if not math.isfinite(value):
@@ -165,6 +171,18 @@ def _freeze_jet(value: float, gradient: np.ndarray, hessian: np.ndarray) -> Seco
     return SecondOrderJet(float(value), gradient, sym)
 
 
+def propagate(spec: "FunctionSpec", coords) -> Jet2:
+    """Evaluate ``spec.body`` on jets seeded at ``coords``, unchecked.
+
+    A body without variables gives a jet with zero derivatives.
+    """
+    n = spec.n
+    out = eval_expr(spec.body, [Jet2.seed(x, i, n) for i, x in enumerate(coords)])
+    if isinstance(out, float):
+        out = Jet2(out, np.zeros(n), np.zeros((n, n)))
+    return out
+
+
 def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
     """Exact value, gradient and Hessian of ``spec`` at ``p``.
 
@@ -174,12 +192,8 @@ def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
     point = as_point(p)
     if len(point) != spec.n:
         raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
-    n = spec.n
-    seeds = [Jet2.seed(x, i, n) for i, x in enumerate(point)]
     try:
-        out = eval_expr(spec.body, seeds)
-        if isinstance(out, float):
-            out = Jet2(out, np.zeros(n), np.zeros((n, n)))
+        out = propagate(spec, point)
         if out.f <= 0.0:
             raise DomainViolation(f"non-positive output {out.f!r}")
         return _freeze_jet(out.f, out.g, out.h)

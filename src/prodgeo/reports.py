@@ -1,5 +1,6 @@
-"""Per-point analysis reports combining curvature and substitution
-indicators, with flat renderings for CSV and JSON output.
+"""Per-point analysis reports, assembled from the curvature and
+substitution records of one jet, with flat renderings for CSV and JSON
+output.
 
 Index labels in rendered output are 1-based (x1, x2, ...) to read
 naturally; the in-process API stays 0-based.
@@ -7,14 +8,13 @@ naturally; the in-process API stays 0-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import FunctionSpec, as_point
-from .economics import allen_determinant, substitution_sample
-from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
+from .economics import substitution_sample
+from .geometry import curvature_sample_of_jet
 from .jets import jet
 from .points import Point
 
@@ -45,24 +45,22 @@ class GeometryReport:
 def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
     point = as_point(p)
     j = jet(spec, point)
-    n = j.n
-    sect = np.full((n, n), math.nan)
-    for i in range(n):
-        for k in range(i + 1, n):
-            sect[i, k] = sect[k, i] = sectional_curvature(j, i, k)
+    # Substitution first: its evaluation errors take precedence over a
+    # curvature overflow at the same point.
     sub = substitution_sample(j, point)
+    curv = curvature_sample_of_jet(j, point)
     return GeometryReport(
         point=point,
         value=j.value,
-        slope=slope_w(j),
-        gauss_kronecker=gauss_kronecker(j),
-        mean_curvature=mean_curvature_of_jet(j),
-        sectional=sect,
+        slope=curv.w,
+        gauss_kronecker=curv.gauss_kronecker,
+        mean_curvature=curv.mean,
+        sectional=curv.sectional,
         elasticities=sub.elasticities,
         mrs=sub.mrs,
         hicks=sub.hicks,
         allen=sub.allen,
-        allen_determinant=allen_determinant(j),
+        allen_determinant=sub.allen_determinant,
     )
 
 

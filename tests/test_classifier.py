@@ -1,5 +1,7 @@
 """Sample grids, classification verdicts and the classification fixture suite."""
 
+import math
+
 import pytest
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
@@ -45,6 +47,23 @@ def test_grid_validation():
         SampleGrid(box=((0.5, 2.0),), points_per_axis=1)
     with pytest.raises(ParameterViolation):
         TolerancePolicy(zero_abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        (1.0, 1.0000000000000002),  # no float strictly between the bounds
+        (1.9, 1.9000000000000004),  # one float between, but no jitter draw reaches it
+    ],
+)
+def test_grid_rejects_axis_too_narrow_to_sample(axis):
+    with pytest.raises(ParameterViolation, match="too narrow"):
+        SampleGrid(box=(axis, (1.0, 2.0)), jitter_points=1)
+    # one step wider is accepted and samples strictly inside
+    wide = (axis[0], math.nextafter(axis[1], math.inf))
+    grid = SampleGrid(box=(wide, (1.0, 2.0)), points_per_axis=2, jitter_points=3)
+    for p in grid.points()[4:]:
+        assert wide[0] < p[0] < wide[1]
 
 
 def test_default_grid_shape():
@@ -242,8 +261,12 @@ def test_flat_verdicts_imply_vanishing_sectional():
     true also has vanishing sectional curvature, and proportional MRS
     excludes minimality.  Pure-exponential fixtures are perfect
     substitutes (degenerate substitution denominator), so classify()
-    legitimately refuses them and they are skipped."""
-    produced = 0
+    legitimately refuses them and they are skipped.
+
+    verify_catalog and classify share one curvature pass, so every
+    expectation verify reports carries exactly classify's numbers."""
+    expectations = {(r.fixture, r.check): r for r in verify_catalog().results}
+    produced = compared = 0
     for fx in catalog_fixtures():
         try:
             verdict = classify(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
@@ -254,4 +277,16 @@ def test_flat_verdicts_imply_vanishing_sectional():
             assert verdict.holds("vanishing_sectional"), fx.name
         if verdict.holds("proportional_mrs"):
             assert not verdict.holds("minimal"), fx.name
+        for check in ("vanishing_gk", "flat", "vanishing_sectional", "nonvanishing_gk"):
+            if (fx.name, check) not in expectations:
+                continue
+            r = expectations[fx.name, check]
+            prop = verdict.property(check.removeprefix("non"))
+            if check == "nonvanishing_gk":
+                assert r.bound == 10.0 * prop.threshold_used, fx.name
+            else:
+                assert (r.observed, r.bound) == (prop.worst_value, prop.threshold_used), fx.name
+                assert r.witness == prop.worst_point, fx.name
+            compared += 1
     assert produced >= 10
+    assert compared >= 10

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from prodgeo.cli import main
 
 
@@ -67,6 +69,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
         capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--points-per-axis", "0"
     )
     assert rc == 2 and "points_per_axis" in err
+    rc, _, err = run(
+        capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "1.0:1.0000000000000002,1:2"
+    )
+    assert rc == 2 and "too narrow" in err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"params": {"A": "x"}}, {"params": [1]}, {"inners": 5}],
+)
+def test_malformed_spec_document_exits_2(capsys, monkeypatch, field):
+    import io
+
+    doc = {"n": 2, "family": "custom", "body": ["mul", ["var", 0], ["var", 1]], **field}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc, out, err = run(capsys, "classify", "--spec", "-")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_passes_and_is_reproducible(tmp_path, capsys):

@@ -23,7 +23,9 @@ from prodgeo.errors import (
     ZeroMarginalProduct,
 )
 from prodgeo.expr import Const, Exp, Mul, Pow, Var
+from prodgeo.geometry import curvature_sample
 from prodgeo.jets import jet
+from prodgeo.reports import geometry_report
 
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
 
@@ -273,3 +275,41 @@ def test_substitution_sample_invariants():
                 assert sample.mrs[i, k] * sample.mrs[k, i] == pytest.approx(1.0, rel=1e-12)
     assert np.all(sample.hicks[~np.isnan(sample.hicks)] == sample.hicks.T[~np.isnan(sample.hicks)])
     assert sample.elasticities == pytest.approx([0.5, 0.3, 0.4], abs=1e-13)
+    # the sample shares one bordered determinant; each entry matches the public per-pair call
+    assert sample.allen_determinant == allen_determinant(jet(spec, p))
+    for i in range(n):
+        for k in range(n):
+            if i != k:
+                assert allen_elasticity(jet(spec, p), p, i, k) == sample.allen[i, k]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_family("cobb_douglas", {"A": 1.0, "k": (0.2, 0.3, 0.4)}),
+        build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25), "rho": 0.5, "gamma": 0.9}),
+        build_family("spillman_mitscherlich", {"A": 1.0, "a": (1.0, 2.0)}),
+    ],
+)
+def test_geometry_report_is_assembled_from_the_samples(spec):
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    p = tuple(0.7 + 0.3 * i for i in range(spec.n))
+    report = geometry_report(spec, p)
+    curv = curvature_sample(spec, p)
+    sub = substitution_sample(jet(spec, p), p)
+    assert report.value == jet(spec, p).value
+    pairs = [
+        (report.slope, curv.w),
+        (report.gauss_kronecker, curv.gauss_kronecker),
+        (report.mean_curvature, curv.mean),
+        (report.sectional, curv.sectional),
+        (report.elasticities, sub.elasticities),
+        (report.mrs, sub.mrs),
+        (report.hicks, sub.hicks),
+        (report.allen, sub.allen),
+        (report.allen_determinant, sub.allen_determinant),
+    ]
+    for got, want in pairs:
+        assert bits(got) == bits(want)
