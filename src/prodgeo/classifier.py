@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +46,11 @@ from .geometry import (
     mean_curvature_of_jet,
     riemann_component,
     sectional_curvature,
+    slope_power,
+    slope_w,
 )
-from .jets import SecondOrderJet, jet
+from .jets import SecondOrderJet, grid_jet, jet
+from .linalg import quadratic_form
 from .points import Point
 
 __all__ = [
@@ -209,125 +213,148 @@ class ClassificationVerdict:
         }
 
 
-class _Extreme:
-    """Track max and min of |value| with first-encountered witnesses."""
-
-    __slots__ = ("max", "max_point", "min", "min_point")
-
-    def __init__(self):
-        self.max = -math.inf
-        self.max_point = None
-        self.min = math.inf
-        self.min_point = None
-
-    def update(self, value: float, point: Point):
-        a = abs(value)
-        if a > self.max:
-            self.max = a
-            self.max_point = point
-        if a < self.min:
-            self.min = a
-            self.min_point = point
+@contextmanager
+def _at(point: Point):
+    """Name ``point`` in any ProdGeoError raised inside that names none."""
+    try:
+        yield
+    except ProdGeoError as e:
+        if e.point is None:
+            e.point = point
+            e.args = (f"{e.args[0]} at point {tuple(point.coords)}",) + e.args[1:]
+        raise
 
 
-def _annotate(exc: ProdGeoError, point: Point):
-    if exc.point is None:
-        exc.point = point
-        exc.args = (f"{exc.args[0]} at point {tuple(point.coords)}",) + exc.args[1:]
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
-def _evaluate_grid(spec: FunctionSpec, grid: SampleGrid) -> tuple[list[Point], list[SecondOrderJet]]:
+def _evaluate_grid(
+    spec: FunctionSpec, grid: SampleGrid
+) -> tuple[list[Point], np.ndarray, SecondOrderJet]:
+    """The grid's points, their (n, P) coordinates and the grid jet."""
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     points = grid.points()
-    jets = []
-    for p in points:
-        try:
-            jets.append(jet(spec, p))
-        except ProdGeoError as e:
-            _annotate(e, p)
-            raise
-    return points, jets
+    coords = np.array([p.coords for p in points]).T.copy()
+    try:
+        return points, coords, grid_jet(spec, coords)
+    except ProdGeoError:
+        # Some point fails; one point at a time, the first one raises.
+        for p in points:
+            with _at(p):
+                jet(spec, p)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # Grid passes
 # ---------------------------------------------------------------------------
+#
+# Each pass evaluates its indicators for all points at once and reduces
+# them over the point axis.  Witnesses are first occurrences in point
+# order, NaN is skipped, and a value that is nowhere defined has no
+# witness (None), as a scan over the points with strict comparisons
+# would give.  Numpy's warnings are off in the passes: a loop over the
+# points would have stopped at a failing point before reaching later
+# ones, and a failure re-runs one point at a time with warnings on.
 
+def _largest(a: np.ndarray, points: list[Point]) -> tuple[float, Optional[Point]]:
+    """The largest entry of the (P, m) array ``a`` and its first point."""
+    per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
+    k = int(np.argmax(per_point))
+    return (float(per_point[k]), points[k]) if per_point[k] > -np.inf else (-math.inf, None)
+
+
+def _smallest(a: np.ndarray, points: list[Point]) -> tuple[float, Optional[Point]]:
+    """The smallest entry of the (P, m) array ``a`` and its first point."""
+    per_point = np.where(np.isnan(a), np.inf, a).min(axis=1, initial=np.inf)
+    k = int(np.argmin(per_point))
+    return (float(per_point[k]), points[k]) if per_point[k] < np.inf else (math.inf, None)
+
+
+def _noise(a: np.ndarray) -> float:
+    """The largest entry of a noise scale over the grid; NaN is skipped."""
+    return float(np.where(np.isnan(a), 0.0, a).max(initial=0.0))
+
+
+@np.errstate(all="ignore")
 def _curvature_stats(
-    points: list[Point], jets: list[SecondOrderJet], tol: TolerancePolicy
-) -> tuple[dict[str, tuple[_Extreme, float]], _Extreme]:
-    """Extremes of every curvature indicator over the grid, in one pass.
+    points: list[Point], jets: SecondOrderJet, tol: TolerancePolicy
+) -> dict[str, tuple[float, Optional[Point], float]]:
+    """Every curvature check over the grid, in one pass.
 
-    Returns a map from each zero check, named as its property, to the
-    extremes of |quantity| and its noise-scaled threshold; and the
-    extremes of each point's largest |Riemann component|.
+    Maps each check of CHECKS to its observed value, witness point and
+    bound: the maximum of |quantity| against its noise-scaled zero
+    threshold for the vanishing checks, and for the two negative
+    controls the minimum of |K| and of each point's largest |Riemann
+    component| against ten times the threshold.
     """
-    n = len(points[0])
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    quads = canonical_riemann_quads(n)
-    k_ext, r_ext, h_ext, s_ext, pointwise_max_r = (_Extreme() for _ in range(5))
-    k_noise = r_noise = s_noise = h_noise = 0.0
-    for p, j in zip(points, jets):
-        g, h = j.gradient, j.hessian
-        row_norms = np.sqrt((h * h).sum(axis=1))
-        w2 = 1.0 + float(g @ g)
-        w = math.sqrt(w2)
-        ag = np.abs(g)
-        k_ext.update(gauss_kronecker(j), p)
-        h_ext.update(mean_curvature_of_jet(j), p)
-        # Noise scales: a Hadamard-type bound on the quantity's terms (row
-        # norm products for determinants and minors) over its normalizer.
-        k_noise = max(k_noise, float(np.prod(row_norms)) / w ** (n + 2))
-        mean_noise = (float(np.abs(np.diag(h)).sum()) / w + float(ag @ np.abs(h) @ ag) / w**3) / n
-        h_noise = max(h_noise, mean_noise)
-        max_r_here = 0.0
-        for q in quads:
-            r = riemann_component(j, *q)
-            r_ext.update(r, p)
-            max_r_here = max(max_r_here, abs(r))
-        pointwise_max_r.update(max_r_here, p)
-        for i, k in pairs:
-            s_ext.update(sectional_curvature(j, i, k), p)
-            minor_noise = float(row_norms[i] * row_norms[k])
-            r_noise = max(r_noise, minor_noise / (w2 * w2))
-            s_noise = max(s_noise, minor_noise / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k])))
-    zero = {
-        "vanishing_gk": (k_ext, tol.zero_abs + tol.zero_rel * k_noise),
-        "flat": (r_ext, tol.zero_abs + tol.zero_rel * r_noise),
-        "minimal": (h_ext, tol.zero_abs + tol.zero_rel * h_noise),
-        "vanishing_sectional": (s_ext, tol.zero_abs + tol.zero_rel * s_noise),
+    n = jets.n
+    pairs = _pairs(n)
+    g, h = jets.stacked
+    w = slope_w(jets)
+    w2 = 1.0 + jets.gradient_sq
+    abs_k = np.abs(gauss_kronecker(jets))[:, None]
+    abs_h = np.abs(mean_curvature_of_jet(jets))[:, None]
+    abs_r = np.abs(np.stack([riemann_component(jets, *q) for q in canonical_riemann_quads(n)], axis=1))
+    abs_s = np.abs(np.stack([sectional_curvature(jets, i, k) for i, k in pairs], axis=1))
+    # Noise scales: a Hadamard-type bound on the quantity's terms (row
+    # norm products for determinants and minors) over its normalizer.
+    row_norms = np.sqrt((h * h).sum(axis=-1))
+    k_noise = np.prod(row_norms, axis=-1) / slope_power(jets, n + 2)
+    ag = np.abs(g)
+    h_noise = (
+        np.abs(np.diagonal(h, axis1=-2, axis2=-1)).sum(axis=-1) / w
+        + quadratic_form(ag, np.abs(h)) / slope_power(jets, 3)
+    ) / n
+    minor_noise = np.stack([row_norms[:, i] * row_norms[:, k] for i, k in pairs], axis=1)
+    r_noise = minor_noise / (w2 * w2)[:, None]
+    s_noise = minor_noise / np.stack(
+        [w2 * (1.0 + g[:, i] * g[:, i] + g[:, k] * g[:, k]) for i, k in pairs], axis=1
+    )
+    k_bound = tol.zero_abs + tol.zero_rel * _noise(k_noise)
+    r_bound = tol.zero_abs + tol.zero_rel * _noise(r_noise)
+    pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
+    return {
+        "vanishing_gk": (*_largest(abs_k, points), k_bound),
+        "flat": (*_largest(abs_r, points), r_bound),
+        "minimal": (*_largest(abs_h, points), tol.zero_abs + tol.zero_rel * _noise(h_noise)),
+        "vanishing_sectional": (*_largest(abs_s, points), tol.zero_abs + tol.zero_rel * _noise(s_noise)),
+        "nonvanishing_gk": (*_smallest(abs_k, points), 10.0 * k_bound),
+        "nonflat_everywhere": (*_smallest(pointwise_max_r, points), 10.0 * r_bound),
     }
-    return zero, pointwise_max_r
+
+
+def _substitution_values(j: SecondOrderJet, x) -> tuple[list, list, list]:
+    """Output elasticities per input, |proportional-MRS deviation| per
+    ordered pair and Hicks elasticities per pair, at the point or grid
+    of ``j`` with coordinates ``x``; checks run in the order of a loop
+    over the inputs at one point."""
+    n = j.n
+    return (
+        [output_elasticity(j, x, i) for i in range(n)],
+        # proportional MRS means MRS_ik == x_i / x_k
+        [abs(mrs(j, i, k) * x[k] / x[i] - 1.0) for i in range(n) for k in range(n) if i != k],
+        [hicks_elasticity(j, x, i, k) for i, k in _pairs(n)],
+    )
 
 
 def _substitution_stats(
-    points: list[Point], jets: list[SecondOrderJet]
-) -> tuple[list[list[float]], _Extreme, list[float], list[Point]]:
-    """Output elasticities per input, the proportional-MRS deviation, and
-    the Hicks elasticity of every pair at every point with its point."""
-    n = len(points[0])
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    elasticity_values: list[list[float]] = [[] for _ in range(n)]
-    mrs_dev = _Extreme()
-    hicks_values: list[float] = []
-    hicks_points: list[Point] = []
-    for p, j in zip(points, jets):
-        try:
-            for i in range(n):
-                elasticity_values[i].append(output_elasticity(j, p, i))
-            for i in range(n):
-                for k in range(n):
-                    if i != k:
-                        # proportional MRS means MRS_ik == x_i / x_k
-                        mrs_dev.update(mrs(j, i, k) * p[k] / p[i] - 1.0, p)
-            for i, k in pairs:
-                hicks_values.append(hicks_elasticity(j, p, i, k))
-                hicks_points.append(p)
-        except ProdGeoError as e:
-            _annotate(e, p)
-            raise
-    return elasticity_values, mrs_dev, hicks_values, hicks_points
+    points: list[Point], coords: np.ndarray, jets: SecondOrderJet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output elasticities (P, n), |proportional-MRS deviations| (P, n(n-1))
+    and Hicks elasticities (P, pairs) over the grid, in one pass."""
+    try:
+        with np.errstate(all="ignore"):
+            columns = _substitution_values(jets, coords)
+    except ProdGeoError:
+        # Some point fails; one point at a time, the first one raises.
+        for k, p in enumerate(points):
+            with _at(p):
+                _substitution_values(jets.at(k), p)
+        raise
+    return tuple(np.stack(c, axis=1) for c in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +362,24 @@ def _substitution_stats(
 # ---------------------------------------------------------------------------
 
 def _constancy_verdict(
-    name: str, values: list[float], value_points: list[Point], tol: TolerancePolicy
+    name: str, values: np.ndarray, points: list[Point], tol: TolerancePolicy
 ) -> PropertyVerdict:
-    mean = sum(values) / len(values)
-    spread = max(values) - min(values)
-    worst_point = value_points[0]
-    worst_dev = -math.inf
-    for v, p in zip(values, value_points):
-        d = abs(v - mean)
-        if d > worst_dev:
-            worst_dev = d
-            worst_point = p
+    """Verdict on the (P, m) ``values`` being constant over the grid; the
+    witness is the first point of largest deviation from the mean."""
+    flat = values.ravel().tolist()
+    mean = sum(flat) / len(flat)
+    spread = max(flat) - min(flat)
+    deviation = np.abs(values - mean).ravel()
+    worst = int(np.argmax(np.where(np.isnan(deviation), -np.inf, deviation)))
     if abs(mean) < tol.zero_abs:
-        worst, threshold = spread, tol.zero_abs
+        observed, threshold = spread, tol.zero_abs
     else:
-        worst, threshold = spread / abs(mean), tol.constancy_rel
+        observed, threshold = spread / abs(mean), tol.constancy_rel
     return PropertyVerdict(
         name=name,
-        holds=bool(worst <= threshold),
-        worst_point=worst_point,
-        worst_value=float(worst),
+        holds=bool(observed <= threshold),
+        worst_point=points[worst // values.shape[1]],
+        worst_value=float(observed),
         threshold_used=float(threshold),
         estimate=float(mean),
     )
@@ -367,25 +392,28 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     evaluation errors propagate with the offending point attached.
     """
     tol = tol or TolerancePolicy()
-    points, jets = _evaluate_grid(spec, grid)
+    points, coords, jets = _evaluate_grid(spec, grid)
     # Substitution first, so that an evaluation error at any point is
     # reported rather than a curvature overflow at a later one.
-    elasticity_values, mrs_dev, hicks_values, hicks_points = _substitution_stats(points, jets)
-    zero, _ = _curvature_stats(points, jets, tol)
-    bounded = {**zero, "proportional_mrs": (mrs_dev, tol.constancy_rel)}
+    elasticities, mrs_dev, hicks = _substitution_stats(points, coords, jets)
+    curvature = _curvature_stats(points, jets, tol)
+    bounded = {name: curvature[name] for name in ("vanishing_gk", "flat", "minimal", "vanishing_sectional")}
+    bounded["proportional_mrs"] = (*_largest(mrs_dev, points), tol.constancy_rel)
     properties = [
         PropertyVerdict(
             name=name,
-            holds=bool(ext.max <= threshold),
-            worst_point=ext.max_point,
-            worst_value=float(ext.max),
+            holds=bool(observed <= threshold),
+            worst_point=witness,
+            worst_value=float(observed),
             threshold_used=float(threshold),
         )
-        for name, (ext, threshold) in bounded.items()
+        for name, (observed, witness, threshold) in bounded.items()
     ]
-    for i, values in enumerate(elasticity_values):
-        properties.append(_constancy_verdict(f"constant_elasticity_x{i + 1}", values, points, tol))
-    properties.append(_constancy_verdict("ces", hicks_values, hicks_points, tol))
+    for i in range(spec.n):
+        properties.append(
+            _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], points, tol)
+        )
+    properties.append(_constancy_verdict("ces", hicks, points, tol))
     return ClassificationVerdict(family=spec.family, n=spec.n, properties=tuple(properties))
 
 
@@ -393,8 +421,9 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    points, jets = _evaluate_grid(spec, grid)
-    _, _, values, _ = _substitution_stats(points, jets)
+    points, coords, jets = _evaluate_grid(spec, grid)
+    _, _, hicks = _substitution_stats(points, coords, jets)
+    values = hicks.ravel().tolist()
     return sum(values) / len(values), max(values) - min(values)
 
 
@@ -574,21 +603,12 @@ def catalog_fixtures() -> list[CatalogFixture]:
 
 
 def _run_check(
-    fx: CatalogFixture, check: str, zero: dict[str, tuple[_Extreme, float]], pointwise_max_r: _Extreme
+    fx: CatalogFixture, check: str, curvature: dict[str, tuple[float, Optional[Point], float]]
 ) -> ExpectationResult:
-    if check in ("vanishing_gk", "flat", "vanishing_sectional"):
-        ext, bound = zero[check]
-        passed, observed, witness = ext.max <= bound, ext.max, ext.max_point
-    elif check == "nonvanishing_gk":
-        ext, threshold = zero["vanishing_gk"]
-        bound = 10.0 * threshold
-        passed, observed, witness = ext.min >= bound, ext.min, ext.min_point
-    elif check == "nonflat_everywhere":
-        bound = 10.0 * zero["flat"][1]
-        observed, witness = pointwise_max_r.min, pointwise_max_r.min_point
-        passed = observed >= bound
-    else:
+    if check not in CHECKS:
         raise ParameterViolation(f"unknown check {check!r}")
+    observed, witness, bound = curvature[check]
+    passed = observed >= bound if check.startswith("non") else observed <= bound
     return ExpectationResult(
         fixture=fx.name,
         n=fx.spec.n,
@@ -606,8 +626,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tol = tol or TolerancePolicy()
     results = []
     for fx in catalog_fixtures():
-        points, jets = _evaluate_grid(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
-        zero, pointwise_max_r = _curvature_stats(points, jets, tol)
+        points, _, jets = _evaluate_grid(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
+        curvature = _curvature_stats(points, jets, tol)
         for check in fx.checks:
-            results.append(_run_check(fx, check, zero, pointwise_max_r))
+            results.append(_run_check(fx, check, curvature))
     return CatalogReport(tuple(results))

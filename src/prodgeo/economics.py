@@ -20,6 +20,11 @@ Ratios of marginal products presuppose nowhere-zero first partials, so a
 partial below 1e-12 * (1 + |grad f|) raises ZeroMarginalProduct instead
 of returning a huge number; the elasticity denominator and the bordered
 determinant get the same treatment.
+
+The output elasticity, the MRS and the Hicks elasticity also take a grid
+jet (see :mod:`prodgeo.jets`) with the (n, P) array of its points'
+coordinates, giving one value per point; a check that fails at any
+point raises.  Allen elasticities are computed one point at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     SingularAllenDeterminant,
     ZeroMarginalProduct,
 )
-from .jets import SecondOrderJet
+from .jets import PointValues, SecondOrderJet
 from .linalg import det_pivoted
 from .points import Point, as_point
 
@@ -52,28 +57,35 @@ __all__ = [
 ZERO_MARGINAL_RTOL = 1e-12
 
 
-def _marginal(j: SecondOrderJet, i: int) -> float:
-    gi = float(j.gradient[i])
-    gnorm = math.sqrt(float(j.gradient @ j.gradient))
-    if abs(gi) <= ZERO_MARGINAL_RTOL * (1.0 + gnorm):
-        raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({gi!r})")
-    return gi
+def _coords(p):
+    """A point's coordinates, or for a grid jet the (n, P) array of its
+    points' coordinates, as given."""
+    return p if isinstance(p, np.ndarray) else as_point(p)
 
 
-def output_elasticity(j: SecondOrderJet, p, i: int) -> float:
+def _marginal(j: SecondOrderJet, i: int) -> PointValues:
+    gi = j.gradient[i]
+    zero = abs(gi) <= ZERO_MARGINAL_RTOL * (1.0 + np.sqrt(j.gradient_sq))
+    if j.anywhere(zero):
+        first = float(np.asarray(gi)[zero][0])
+        raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
+    return j.unbox(gi)
+
+
+def output_elasticity(j: SecondOrderJet, p, i: int) -> PointValues:
     """Percentage output response to a percentage change of input i."""
     j.check_index(i)
-    point = as_point(p)
-    return point[i] * float(j.gradient[i]) / j.value
+    x = _coords(p)
+    return j.unbox(x[i] * j.gradient[i] / j.value)
 
 
-def mrs(j: SecondOrderJet, i: int, k: int) -> float:
+def mrs(j: SecondOrderJet, i: int, k: int) -> PointValues:
     """Marginal rate of technical substitution of input k for input i."""
     j.check_index(i, k)
-    return float(j.gradient[k]) / _marginal(j, i)
+    return j.unbox(j.gradient[k] / _marginal(j, i))
 
 
-def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> float:
+def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
     """Hicks elasticity of substitution between inputs i and k.
 
     The formula is symmetric in (i, k); arguments are ordered internally
@@ -83,20 +95,21 @@ def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> float:
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
     i, k = (i, k) if i < k else (k, i)
-    point = as_point(p)
+    x = _coords(p)
     gi = _marginal(j, i)
     gk = _marginal(j, k)
     h = j.hessian
-    numerator = 1.0 / (point[i] * gi) + 1.0 / (point[k] * gk)
+    numerator = 1.0 / (x[i] * gi) + 1.0 / (x[k] * gk)
     t_ii = h[i, i] / (gi * gi)
     t_ik = 2.0 * h[i, k] / (gi * gk)
     t_kk = h[k, k] / (gk * gk)
     denominator = -t_ii + t_ik - t_kk
-    if abs(denominator) <= ZERO_MARGINAL_RTOL * (1.0 + abs(t_ii) + abs(t_ik) + abs(t_kk)):
+    degenerate = abs(denominator) <= ZERO_MARGINAL_RTOL * (1.0 + abs(t_ii) + abs(t_ik) + abs(t_kk))
+    if j.anywhere(degenerate):
         raise DegenerateDenominator(
             f"substitution denominator is numerically zero for inputs {i + 1}, {k + 1}"
         )
-    return float(numerator / denominator)
+    return j.unbox(numerator / denominator)
 
 
 def allen_bordered_matrix(j: SecondOrderJet) -> np.ndarray:

@@ -20,8 +20,11 @@ also has an analytic product form, implemented here from univariate jets
 of F and the inner factors; it must agree with the generic determinant
 and the test suite holds it to 1e-9 relative.
 
-Everything in this module is pure; grids of points may be evaluated
-concurrently without coordination.
+Every indicator takes a one-point jet, giving a float, or a grid jet
+(see :mod:`prodgeo.jets`), giving one value per point -- each the value
+the point's own jet gives, bit for bit.  Everything in this module is
+pure; grids of points may be evaluated concurrently without
+coordination.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ import numpy as np
 
 from .catalog import FunctionSpec, as_point
 from .errors import ArityMismatch, DegenerateOuter, DomainViolation, StructureMissing
-from .jets import SecondOrderJet, jet, univariate_jet
-from .linalg import det_pivoted
+from .jets import PointValues, SecondOrderJet, jet, univariate_jet
+from .linalg import det_pivoted, quadratic_form
 from .points import Point
 
 __all__ = [
     "slope_w",
+    "slope_power",
     "hessian_determinant",
     "gauss_kronecker",
     "mean_curvature",
@@ -54,33 +58,39 @@ __all__ = [
 ]
 
 
-def slope_w(j: SecondOrderJet) -> float:
+def slope_w(j: SecondOrderJet) -> PointValues:
     """Slope factor sqrt(1 + |grad f|^2); always >= 1."""
-    g = j.gradient
-    return math.sqrt(1.0 + float(g @ g))
+    return j.unbox(np.sqrt(1.0 + j.gradient_sq))
 
 
-def hessian_determinant(j: SecondOrderJet) -> float:
-    return det_pivoted(j.hessian)
-
-
-def gauss_kronecker(j: SecondOrderJet) -> float:
-    """det(Hess f) / w^(n+2)."""
-    return hessian_determinant(j) / slope_w(j) ** (j.n + 2)
-
-
-def mean_curvature_of_jet(j: SecondOrderJet) -> float:
-    """(1/n) [sum_i f_ii / w - sum_{i,j} f_i f_j f_ij / w^3]."""
-    g, h = j.gradient, j.hessian
+def slope_power(j: SecondOrderJet, e: int) -> PointValues:
+    """w ** e, by Python's float power one point at a time (numpy's
+    vectorized power rounds differently)."""
     w = slope_w(j)
-    return (float(np.trace(h)) / w - float(g @ h @ g) / w**3) / j.n
+    return np.array([v**e for v in w.tolist()]) if j.is_grid else w**e
+
+
+def hessian_determinant(j: SecondOrderJet) -> PointValues:
+    return j.unbox(det_pivoted(j.stacked[1]))
+
+
+def gauss_kronecker(j: SecondOrderJet) -> PointValues:
+    """det(Hess f) / w^(n+2)."""
+    return j.unbox(hessian_determinant(j) / slope_power(j, j.n + 2))
+
+
+def mean_curvature_of_jet(j: SecondOrderJet) -> PointValues:
+    """(1/n) [sum_i f_ii / w - sum_{i,j} f_i f_j f_ij / w^3]."""
+    g, h = j.stacked
+    trace = np.trace(h, axis1=-2, axis2=-1)
+    return j.unbox((trace / slope_w(j) - quadratic_form(g, h) / slope_power(j, 3)) / j.n)
 
 
 def mean_curvature(spec: FunctionSpec, p) -> float:
     return mean_curvature_of_jet(jet(spec, p))
 
 
-def minimality_residual(j: SecondOrderJet) -> float:
+def minimality_residual(j: SecondOrderJet) -> PointValues:
     """Expanded zero-mean-curvature condition:
     sum_i f_ii + sum_{i != j} (f_i^2 f_jj - f_i f_j f_ij).
 
@@ -88,30 +98,30 @@ def minimality_residual(j: SecondOrderJet) -> float:
     by residual = n * H * w^3.  Useful as an independent cross-check
     because it needs no square root.
     """
-    g, h = j.gradient, j.hessian
-    tr = float(np.trace(h))
+    g, h = j.stacked
+    trace = np.trace(h, axis1=-2, axis2=-1)
     # The i == j terms of the double sum cancel pairwise, so it equals
     # |g|^2 tr(h) - g.h.g.
-    return tr + float(g @ g) * tr - float(g @ h @ g)
+    return j.unbox(trace + j.gradient_sq * trace - quadratic_form(g, h))
 
 
-def sectional_curvature(j: SecondOrderJet, i: int, k: int) -> float:
+def sectional_curvature(j: SecondOrderJet, i: int, k: int) -> PointValues:
     """Curvature of the coordinate plane section spanned by axes i and k."""
     j.check_index(i, k)
     if i == k:
         raise IndexError("sectional curvature needs two distinct axes")
     g, h = j.gradient, j.hessian
-    w2 = 1.0 + float(g @ g)
+    w2 = 1.0 + j.gradient_sq
     numerator = h[i, i] * h[k, k] - h[i, k] * h[i, k]
-    return float(numerator / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k])))
+    return j.unbox(numerator / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k])))
 
 
-def riemann_component(j: SecondOrderJet, i: int, k: int, l: int, m: int) -> float:
+def riemann_component(j: SecondOrderJet, i: int, k: int, l: int, m: int) -> PointValues:
     """Component R(d_i, d_k, d_l, d_m) = (f_im f_kl - f_il f_km) / w^4."""
     j.check_index(i, k, l, m)
-    g, h = j.gradient, j.hessian
-    w2 = 1.0 + float(g @ g)
-    return float(h[i, m] * h[k, l] - h[i, l] * h[k, m]) / (w2 * w2)
+    h = j.hessian
+    w2 = 1.0 + j.gradient_sq
+    return j.unbox((h[i, m] * h[k, l] - h[i, l] * h[k, m]) / (w2 * w2))
 
 
 def canonical_riemann_quads(n: int) -> list[tuple[int, int, int, int]]:

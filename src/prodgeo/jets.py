@@ -7,6 +7,15 @@ is no truncation error.  The input dimension is small here (a handful of
 production factors), which makes the dense n-by-n carry the simple and
 fast choice.
 
+A jet describes one point or a whole grid.  A grid jet carries a
+trailing point axis -- value (P,), gradient (n, P), Hessian (n, n, P) --
+so every rule broadcasts over the points unchanged and one pass over
+the expression tree serves the grid (vector forward mode).  Each point
+of a grid jet equals the one-point jet there bit for bit: the rules use
+only elementwise IEEE arithmetic, and the transcendental primitives
+apply ``math.exp``, ``math.log`` and ``math.pow`` to one float at a
+time, because numpy's vectorized versions round differently.
+
 A central finite-difference oracle with O(h^2) error is provided as an
 independent cross-check; it is used by the test suite and never by the
 analysis path itself.
@@ -16,39 +25,84 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from .expr import Expr, eval_expr, eval_value, variables
+from .linalg import quadratic_form
 from .points import as_point
 
 if TYPE_CHECKING:
     from .catalog import FunctionSpec
 
-__all__ = ["Jet2", "SecondOrderJet", "jet", "univariate_jet", "fd_oracle"]
+__all__ = ["Jet2", "SecondOrderJet", "jet", "grid_jet", "univariate_jet", "fd_oracle"]
+
+#: A float at one point, or an array with one entry per point.
+PointValues = Union[float, np.ndarray]
+
+
+def _reject(bad, x: PointValues, message: str) -> None:
+    """Raise DomainViolation if ``bad`` holds at any point, with the first
+    such entry of ``x`` put into ``message``."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise DomainViolation(message.format(float(np.asarray(x)[bad][0])))
+
+
+def _each(fn, f, *args):
+    """``fn(f, *args)``, applied to one float at a time for a grid, so that
+    every point is rounded by ``math`` exactly as on its own."""
+    if isinstance(f, np.ndarray):
+        return np.array([fn(x, *args) for x in f.tolist()]).T
+    return fn(f, *args)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainViolation(f"exp overflow at argument {x!r}") from None
+
+
+def _pow_terms(x: float, e: float) -> tuple[float, float, float]:
+    """x ** e and its first and second derivatives in x."""
+    try:
+        return math.pow(x, e), e * math.pow(x, e - 1.0), e * (e - 1.0) * math.pow(x, e - 2.0)
+    except OverflowError:
+        raise DomainViolation(f"power overflow: {x!r} ** {e!r}") from None
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b) at one point, and at each point of a grid."""
+    return a[:, None] * b[None]
 
 
 class Jet2:
     """Scalar carrying (value, gradient, Hessian) through arithmetic.
 
-    Mixed operations with plain floats treat the float as a constant.
-    Instances are never mutated; every operation allocates fresh arrays.
+    At one point ``f`` is a float, ``g`` (n,) and ``h`` (n, n); on a grid
+    of P points they are (P,), (n, P) and (n, n, P).  Mixed operations
+    with plain floats treat the float as a constant.  Instances are never
+    mutated; every operation allocates fresh arrays.  A domain check
+    raises when it fails at any point.
     """
 
     __slots__ = ("f", "g", "h")
 
-    def __init__(self, f: float, g: np.ndarray, h: np.ndarray):
-        self.f = float(f)
+    def __init__(self, f: PointValues, g: np.ndarray, h: np.ndarray):
+        self.f = f
         self.g = g
         self.h = h
 
     @classmethod
-    def seed(cls, x: float, index: int, n: int) -> "Jet2":
-        g = np.zeros(n)
+    def seed(cls, x: PointValues, index: int, n: int) -> "Jet2":
+        """The jet of input ``index`` at ``x``, a float or one value per point."""
+        shape = np.shape(x)
+        g = np.zeros((n,) + shape)
         g[index] = 1.0
-        return cls(float(x), g, np.zeros((n, n)))
+        return cls(x if shape else float(x), g, np.zeros((n, n) + shape))
 
     # -- ring operations ---------------------------------------------------
 
@@ -77,8 +131,8 @@ class Jet2:
                 self.f * other.g + other.f * self.g,
                 self.f * other.h
                 + other.f * self.h
-                + np.outer(self.g, other.g)
-                + np.outer(other.g, self.g),
+                + _outer(self.g, other.g)
+                + _outer(other.g, self.g),
             )
         return Jet2(self.f * other, self.g * other, self.h * other)
 
@@ -86,65 +140,65 @@ class Jet2:
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
-            if other.f == 0.0:
-                raise DomainViolation("division by zero")
+            _reject(other.f == 0.0, other.f, "division by zero")
             q = self.f / other.f
             gq = (self.g - q * other.g) / other.f
-            hq = (
-                self.h - q * other.h - np.outer(gq, other.g) - np.outer(other.g, gq)
-            ) / other.f
+            hq = (self.h - q * other.h - _outer(gq, other.g) - _outer(other.g, gq)) / other.f
             return Jet2(q, gq, hq)
         if other == 0.0:
             raise DomainViolation("division by zero")
         return Jet2(self.f / other, self.g / other, self.h / other)
 
     def __rtruediv__(self, other):
-        if self.f == 0.0:
-            raise DomainViolation("division by zero")
+        _reject(self.f == 0.0, self.f, "division by zero")
         q = other / self.f
         gq = -q * self.g / self.f
-        hq = (-q * self.h - np.outer(gq, self.g) - np.outer(self.g, gq)) / self.f
+        hq = (-q * self.h - _outer(gq, self.g) - _outer(self.g, gq)) / self.f
         return Jet2(q, gq, hq)
 
     # -- smooth primitives -------------------------------------------------
 
-    def _chain(self, value: float, d1: float, d2: float) -> "Jet2":
-        return Jet2(value, d1 * self.g, d1 * self.h + d2 * np.outer(self.g, self.g))
+    def _chain(self, value: PointValues, d1: PointValues, d2: PointValues) -> "Jet2":
+        return Jet2(value, d1 * self.g, d1 * self.h + d2 * _outer(self.g, self.g))
 
     def exp(self) -> "Jet2":
-        try:
-            v = math.exp(self.f)
-        except OverflowError:
-            raise DomainViolation(f"exp overflow at argument {self.f!r}") from None
+        v = _each(_exp, self.f)
         return self._chain(v, v, v)
 
     def ln(self) -> "Jet2":
-        if self.f <= 0.0:
-            raise DomainViolation(f"ln of non-positive value {self.f!r}")
-        return self._chain(math.log(self.f), 1.0 / self.f, -1.0 / (self.f * self.f))
+        f = self.f
+        _reject(f <= 0.0, f, "ln of non-positive value {!r}")
+        f2 = f * f
+        # Below about 1e-162 the square underflows and -1 / f^2 overflows.
+        _reject(f2 == 0.0, f, "second derivative of ln overflows at {!r}")
+        return self._chain(_each(math.log, f), 1.0 / f, -1.0 / f2)
 
     def pow_real(self, exponent: float) -> "Jet2":
-        if self.f <= 0.0:
-            raise DomainViolation(f"real power of non-positive base {self.f!r}")
-        try:
-            v = math.pow(self.f, exponent)
-            d1 = exponent * math.pow(self.f, exponent - 1.0)
-            d2 = exponent * (exponent - 1.0) * math.pow(self.f, exponent - 2.0)
-        except OverflowError:
-            raise DomainViolation(f"power overflow: {self.f!r} ** {exponent!r}") from None
+        f = self.f
+        _reject(f <= 0.0, f, "real power of non-positive base {!r}")
+        v, d1, d2 = _each(_pow_terms, f, exponent)
         return self._chain(v, d1, d2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderJet:
-    """Value, gradient and Hessian of a function at one point.
+    """Value, gradient and Hessian of a function at one point, or at each
+    point of a grid.
 
+    A grid jet carries a trailing point axis: value (P,), gradient
+    (n, P), Hessian (n, n, P).  ``gradient[i]`` and ``hessian[i, k]`` are
+    then one entry per point, so one formula serves a point and a grid.
     The Hessian is symmetric by construction: the upper triangle is
     computed and mirrored, so ``hessian[i, j]`` equals ``hessian[j, i]``
     bit for bit.
     """
 
-    value: float
+    value: PointValues
     gradient: np.ndarray
     hessian: np.ndarray
 
@@ -152,34 +206,86 @@ class SecondOrderJet:
     def n(self) -> int:
         return self.gradient.shape[0]
 
+    @property
+    def is_grid(self) -> bool:
+        return self.gradient.ndim == 2
+
     def check_index(self, *idx: int) -> None:
         """Raise IndexError unless every index names an input."""
         for i in idx:
             if not 0 <= i < self.n:
                 raise IndexError(f"input index {i} out of range for n={self.n}")
 
+    def at(self, k: int) -> "SecondOrderJet":
+        """The one-point jet of point ``k`` of a grid jet."""
+        return SecondOrderJet(
+            float(self.value[k]),
+            _read_only(self.gradient[:, k].copy()),
+            _read_only(self.hessian[:, :, k].copy()),
+        )
 
-def _freeze_jet(value: float, gradient: np.ndarray, hessian: np.ndarray) -> SecondOrderJet:
-    if not math.isfinite(value):
-        raise DomainViolation(f"non-finite value {value!r}")
+    def anywhere(self, mask) -> bool:
+        """Whether ``mask`` holds at the point, or at any point of a grid."""
+        return bool(mask.any() if self.is_grid else mask)
+
+    def unbox(self, x) -> PointValues:
+        """``x`` as a float for a one-point jet; unchanged, one entry per
+        point, for a grid jet."""
+        return x if self.is_grid else float(x)
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian with the point axis first, C-contiguous:
+        (P, n) and (P, n, n), the layout of numpy's stacked vectors and
+        matrices.  A one-point jet gives its own arrays.  Reductions over
+        the last axes round each point as they round a one-point jet."""
+        if not self.is_grid:
+            return self.gradient, self.hessian
+        return (
+            _read_only(np.ascontiguousarray(self.gradient.T)),
+            _read_only(np.ascontiguousarray(np.moveaxis(self.hessian, -1, 0))),
+        )
+
+    @cached_property
+    def gradient_sq(self) -> PointValues:
+        """|grad f|^2."""
+        return quadratic_form(self.stacked[0])
+
+
+def _freeze_jet(value: PointValues, gradient: np.ndarray, hessian: np.ndarray) -> SecondOrderJet:
+    _reject(~np.isfinite(value), value, "non-finite value {!r}")
     if not (np.all(np.isfinite(gradient)) and np.all(np.isfinite(hessian))):
         raise DomainViolation("non-finite derivative")
-    sym = np.triu(hessian) + np.triu(hessian, 1).T
-    gradient = gradient.copy()
-    gradient.setflags(write=False)
-    sym.setflags(write=False)
-    return SecondOrderJet(float(value), gradient, sym)
+    # The upper triangle mirrored; + 0.0 turns -0.0 into 0.0, as
+    # triu(h) + triu(h, 1).T does.
+    sym = hessian + 0.0
+    n = gradient.shape[0]
+    for i in range(n):
+        for k in range(i + 1, n):
+            sym[k, i] = sym[i, k]
+    value = _read_only(value.copy()) if isinstance(value, np.ndarray) else float(value)
+    return SecondOrderJet(value, _read_only(gradient.copy()), _read_only(sym))
+
+
+def _checked(out: Jet2) -> SecondOrderJet:
+    """The frozen jet of a propagated body: positive, finite output."""
+    _reject(out.f <= 0.0, out.f, "non-positive output {!r}")
+    return _freeze_jet(out.f, out.g, out.h)
 
 
 def propagate(spec: "FunctionSpec", coords) -> Jet2:
     """Evaluate ``spec.body`` on jets seeded at ``coords``, unchecked.
 
-    A body without variables gives a jet with zero derivatives.
+    ``coords`` holds n floats for one point, or n arrays with one
+    coordinate per point for a grid.  A body without variables gives a
+    jet with zero derivatives.
     """
     n = spec.n
     out = eval_expr(spec.body, [Jet2.seed(x, i, n) for i, x in enumerate(coords)])
     if isinstance(out, float):
-        out = Jet2(out, np.zeros(n), np.zeros((n, n)))
+        shape = np.shape(coords[0])
+        f = np.full(shape, out) if shape else out
+        out = Jet2(f, np.zeros((n,) + shape), np.zeros((n, n) + shape))
     return out
 
 
@@ -193,14 +299,27 @@ def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
     if len(point) != spec.n:
         raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
     try:
-        out = propagate(spec, point)
-        if out.f <= 0.0:
-            raise DomainViolation(f"non-positive output {out.f!r}")
-        return _freeze_jet(out.f, out.g, out.h)
+        return _checked(propagate(spec, point))
     except DomainViolation as e:
         if e.point is None:
             e.point = point
         raise
+
+
+def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
+    """``jet()`` at every point of a grid, in one pass over the tree.
+
+    ``coords`` is (n, P): column k holds the coordinates of point k, a
+    point of the positive orthant.  The result carries a trailing point
+    axis and equals ``jet()`` at each point bit for bit.  Memory grows
+    linearly in P.  A failure at any point raises DomainViolation without
+    naming the first failing point; ``jet()`` at the points in order does.
+    """
+    if coords.shape[0] != spec.n:
+        raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
+    # Points that fail a check carry inf or NaN onward until it raises.
+    with np.errstate(all="ignore"):
+        return _checked(propagate(spec, coords))
 
 
 def univariate_jet(e: Expr, x: float) -> tuple[float, float, float]:

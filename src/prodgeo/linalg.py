@@ -1,23 +1,39 @@
-"""Determinants of small dense matrices."""
+"""Determinants and quadratic forms of small dense matrices, one at a
+time or stacked.
+
+A stack puts its leading axis first, as numpy does: (P, m, m) matrices,
+(P, n) vectors.  Each member of a stack is rounded exactly as it would
+be on its own, so a grid of points gives the numbers of a loop over its
+points, bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["det_pivoted"]
+__all__ = ["det_pivoted", "quadratic_form"]
 
 
-def det_pivoted(a: np.ndarray) -> float:
+def det_pivoted(a: np.ndarray):
     """Determinant by Gaussian elimination with partial pivoting.
 
     Sized for the matrices that occur here: Hessians and bordered
     Hessians of at most a dozen rows.  1x1 and 2x2 cases use the direct
     formula, which is exact for the rank checks built on 2x2 minors.
+
+    ``a`` is one (m, m) matrix, giving a float, or a (P, m, m) stack,
+    giving one determinant per matrix.  Each matrix of a stack keeps its
+    own pivot choices and elimination order; a zero pivot zeroes only
+    that matrix's determinant.
     """
     a = np.array(a, dtype=float)
-    m, mm = a.shape
+    m, mm = a.shape[-2:]
     if m != mm:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim == 3:
+        return _det_stack(a)
+    # One matrix: the same elimination as _det_stack, in scalar steps,
+    # which cost a third of a stack of one.
     if m == 1:
         return float(a[0, 0])
     if m == 2:
@@ -35,3 +51,46 @@ def det_pivoted(a: np.ndarray) -> float:
             factor = a[row, col] / a[col, col]
             a[row, col:] -= factor * a[col, col:]
     return float(det)
+
+
+def _det_stack(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (P, m, m) stack, eliminated in place."""
+    m = a.shape[-1]
+    if m == 1:
+        return a[:, 0, 0].copy()
+    if m == 2:
+        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    rows = np.arange(len(a))
+    det = np.ones(len(a))
+    singular = np.zeros(len(a), dtype=bool)
+    for col in range(m):
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        singular |= a[rows, piv, col] == 0.0
+        pivot_rows = a[rows, piv].copy()
+        a[rows, piv] = a[:, col]
+        a[:, col] = pivot_rows
+        det = np.where(piv != col, -det, det)
+        det *= a[:, col, col]
+        # A singular matrix is done; dividing by 1 keeps it finite.
+        pivot = np.where(singular, 1.0, a[:, col, col])
+        for row in range(col + 1, m):
+            factor = a[:, row, col] / pivot
+            a[:, row, col:] -= factor[:, None] * a[:, col, col:]
+    return np.where(singular, 0.0, det)
+
+
+def quadratic_form(u: np.ndarray, m: np.ndarray | None = None):
+    """``u @ u``, or ``u @ m @ u``, of one vector or of each member of a
+    stack.
+
+    One (n,) vector gives a float; a (P, n) stack, with ``m`` (P, n, n),
+    gives one value per member.  The stack goes through stacked
+    ``np.matmul``, which rounds each member as the 1-D ``@`` does;
+    ``einsum`` or ``(u * u).sum(-1)`` would not.
+    """
+    if u.ndim == 1:
+        return float(u @ u if m is None else u @ m @ u)
+    left = u[:, None, :]
+    if m is not None:
+        left = left @ m
+    return (left @ u[:, :, None])[:, 0, 0]

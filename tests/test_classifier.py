@@ -14,8 +14,16 @@ from prodgeo.classifier import (
     estimate_sigma,
     verify_catalog,
 )
-from prodgeo.errors import DegenerateDenominator, DomainViolation, ParameterViolation
+from prodgeo.economics import hicks_elasticity, mrs
+from prodgeo.errors import (
+    DegenerateDenominator,
+    DomainViolation,
+    ParameterViolation,
+    ProdGeoError,
+    ZeroMarginalProduct,
+)
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
+from prodgeo.jets import jet
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +141,54 @@ def test_classify_propagates_errors_with_point():
     with pytest.raises(DomainViolation) as exc:
         classify(log_spec, default_grid(2))
     assert exc.value.point is not None
+
+    # The grid is evaluated at once, but the error names the first
+    # failing point in grid order, with jet()'s message there (which
+    # already carries the point; the CLI appends it when rendering).
+    late = FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Var(1))
+    grid = default_grid(2)
+    first_bad = next(p for p in grid.points() if p[0] > 1.5)
+    assert first_bad != grid.points()[0]
+    with pytest.raises(DomainViolation) as exc:
+        classify(late, grid)
+    with pytest.raises(DomainViolation) as direct:
+        jet(late, first_bad)
+    assert exc.value.point == first_bad
+    assert str(exc.value) == str(direct.value)
+
+    # Substitution errors: the point and message of a loop over the
+    # public per-point calls, in the order classify makes them.
+    fixtures = {fx.name: fx for fx in catalog_fixtures()}
+    cases = [
+        (fixtures["transcendental_two_pure_exponentials_3in"].spec, DegenerateDenominator),
+        # df/dx2 = -40 exp(-40 x2) is numerically zero for larger x2 only
+        (FunctionSpec(2, Var(0) + Exp(Mul(Const(-40.0), Var(1)))), ZeroMarginalProduct),
+    ]
+    for spec, error in cases:
+        grid = default_grid(spec.n)
+        with pytest.raises(error) as exc:
+            classify(spec, grid)
+        point, message = _first_substitution_error(spec, grid)
+        assert exc.value.point == point
+        assert str(exc.value) == f"{message} at point {point.coords}"
+
+
+def _first_substitution_error(spec, grid):
+    points = grid.points()
+    jets = [jet(spec, p) for p in points]
+    n = spec.n
+    for p, j in zip(points, jets):
+        try:
+            for i in range(n):
+                for k in range(n):
+                    if i != k:
+                        mrs(j, i, k)
+            for i in range(n):
+                for k in range(i + 1, n):
+                    hicks_elasticity(j, p, i, k)
+        except ProdGeoError as e:
+            return p, str(e)
+    raise AssertionError("no point fails")
 
 
 def test_classify_grid_dimension_mismatch():

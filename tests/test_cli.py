@@ -162,6 +162,38 @@ def test_spec_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["family"] == "cobb_douglas"
 
 
+def _classify_stdin(capsys, monkeypatch, doc):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    return run(capsys, "classify", "--spec", "-")
+
+
+def test_classify_names_the_first_failing_point(capsys, monkeypatch):
+    from prodgeo.catalog import spec_from_json_obj
+    from prodgeo.classifier import default_grid
+    from prodgeo.errors import DomainViolation
+    from prodgeo.jets import jet
+
+    doc = {"n": 2, "family": "custom",
+           "body": ["add", ["pow", ["add", ["const", 1.5], ["neg", ["var", 0]]], 0.5], ["var", 1]]}
+    first_bad = next(p for p in default_grid(2).points() if p[0] > 1.5)
+    with pytest.raises(DomainViolation) as direct:
+        jet(spec_from_json_obj(doc), first_bad)
+    rc, out, err = _classify_stdin(capsys, monkeypatch, doc)
+    assert (rc, out) == (3, "")
+    assert err == f"evaluation error: {direct.value} at point {first_bad.coords}\n"
+
+
+def test_ln_of_tiny_value_exits_3(capsys, monkeypatch):
+    doc = {"n": 2, "family": "custom",
+           "body": ["add", ["exp", ["ln", ["mul", ["const", 1e-170], ["var", 0]]]], ["var", 1]]}
+    rc, out, err = _classify_stdin(capsys, monkeypatch, doc)
+    assert (rc, out) == (3, "")
+    assert err.startswith("evaluation error: second derivative of ln overflows")
+    assert "Traceback" not in err
+
+
 def test_family_aliases(capsys):
     rc, out, _ = run(capsys, "classify", "--family", "spillman", "--params", "A=1,a=1:1")
     assert rc == 0

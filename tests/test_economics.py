@@ -313,3 +313,42 @@ def test_geometry_report_is_assembled_from_the_samples(spec):
     ]
     for got, want in pairs:
         assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        build_family("transcendental", {"A": 1.0, "a": (0.5, 0.3, 0.2), "b": (0.2, 0.1, -0.3)}),
+        build_family("acms", {"A": 1.3, "k": (1.0, 0.6), "rho": 0.5, "gamma": 0.7}),
+    ],
+)
+def test_substitution_of_grid_jet_equals_each_point_bitwise(spec):
+    from prodgeo.classifier import default_grid
+    from prodgeo.jets import grid_jet
+
+    points = default_grid(spec.n, seed=1).points()
+    coords = np.array([p.coords for p in points]).T.copy()
+    grid = grid_jet(spec, coords)
+    n = spec.n
+    indicators = [lambda j, x, i=i: output_elasticity(j, x, i) for i in range(n)]
+    indicators += [lambda j, x, i=i, k=k: mrs(j, i, k) for i in range(n) for k in range(n) if i != k]
+    indicators += [lambda j, x, i=i, k=k: hicks_elasticity(j, x, i, k) for i in range(n) for k in range(n) if i != k]
+    for f in indicators:
+        values = f(grid, coords)
+        assert values.shape == (len(points),)
+        for k, p in enumerate(points):
+            single = f(jet(spec, p), p)
+            assert type(single) is float
+            assert np.float64(values[k]).tobytes() == np.float64(single).tobytes()
+
+
+def test_grid_jet_zero_marginal_raises_for_the_grid():
+    from prodgeo.jets import grid_jet
+
+    # df/dx2 = -40 exp(-40 x2) is numerically zero only at the larger x2.
+    spec = FunctionSpec(2, Var(0) + Exp(Mul(Const(-40.0), Var(1))))
+    coords = np.array([[1.0, 1.0], [0.5, 2.0]])
+    grid = grid_jet(spec, coords)
+    assert math.isfinite(mrs(jet(spec, (1.0, 0.5)), 1, 0))
+    with pytest.raises(ZeroMarginalProduct, match="x2"):
+        mrs(grid, 1, 0)

@@ -286,3 +286,55 @@ def test_quasi_product_det_matches_generic_on_random_fixtures():
         done += 1
         for analytic, generic in pairs:
             assert abs(analytic - generic) <= 1e-9 * (1.0 + abs(generic))
+
+
+# ---------------------------------------------------------------------------
+# stacked determinants and grid jets
+# ---------------------------------------------------------------------------
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_stacked_det_pivoted_equals_each_matrix_bitwise():
+    from prodgeo.linalg import det_pivoted
+
+    rng = np.random.default_rng(5)
+    row_swap = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.5, 10.0]])
+    zero_column = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]])
+    # Two row swaps, then a zero pivot in the last column.
+    late_zero_pivot = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
+    cases = {
+        3: [row_swap, zero_column, late_zero_pivot, rng.standard_normal((3, 3))],
+        1: [np.array([[-2.5]]), np.array([[0.0]])],
+        2: [np.array([[0.1, 0.7], [0.3, 0.2]]), np.array([[1.0, 2.0], [2.0, 4.0]])],
+        5: list(rng.standard_normal((6, 5, 5))),
+    }
+    for m, matrices in cases.items():
+        stack = np.array(matrices)
+        dets = det_pivoted(stack)
+        assert dets.shape == (len(matrices),)
+        for a, d in zip(matrices, dets):
+            assert _bits(d) == _bits(det_pivoted(a)), (m, a)
+    assert det_pivoted(row_swap) != 0.0
+    assert _bits(det_pivoted(np.array(cases[3]))[1:3]) == _bits([0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", [SQRT_CD, build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.7), "rho": -1.5, "gamma": 1.2})])
+def test_curvature_of_grid_jet_equals_each_point_bitwise(spec):
+    from prodgeo.classifier import default_grid
+    from prodgeo.jets import grid_jet
+
+    points = default_grid(spec.n, seed=3).points()
+    grid = grid_jet(spec, np.array([p.coords for p in points]).T.copy())
+    n = spec.n
+    indicators = [slope_w, hessian_determinant, gauss_kronecker, mean_curvature_of_jet, minimality_residual]
+    indicators += [lambda j, i=i, k=k: sectional_curvature(j, i, k) for i in range(n) for k in range(n) if i != k]
+    indicators += [lambda j, q=q: riemann_component(j, *q) for q in canonical_riemann_quads(n) + [(0, 1, 1, 0), (0, 1, 0, 1)]]
+    for f in indicators:
+        values = f(grid)
+        assert values.shape == (len(points),)
+        for k, p in enumerate(points):
+            single = f(jet(spec, p))
+            assert type(single) is float
+            assert _bits(values[k]) == _bits(single)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
+from prodgeo.classifier import catalog_fixtures, default_grid
 from prodgeo.errors import ArityMismatch, DomainViolation, StencilOutOfDomain
-from prodgeo.expr import Const, Exp, Mul, Pow, Var
-from prodgeo.jets import fd_oracle, jet, univariate_jet
+from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
+from prodgeo.jets import fd_oracle, grid_jet, jet, univariate_jet
 
 FAMILY_SPECS = [
     build_family("cobb_douglas", {"A": 1.7, "k": (0.6, -0.4)}),
@@ -83,6 +84,16 @@ def test_jet_propagates_domain_violation():
     tiny_base = FunctionSpec(2, Pow(Mul(Const(1e-300), Var(0)), 0.5) + Var(1))
     with pytest.raises(DomainViolation):
         jet(tiny_base, (1.0, 1.0))
+
+
+def test_ln_of_tiny_value_is_a_domain_violation():
+    """Below about 1e-162 the second derivative -1/f^2 of ln overflows."""
+    spec = FunctionSpec(2, Exp(Ln(Mul(Const(1e-170), Var(0)))) + Var(1))
+    with pytest.raises(DomainViolation, match="second derivative of ln") as exc:
+        jet(spec, (1.0, 1.0))
+    assert exc.value.point.coords == (1.0, 1.0)
+    with pytest.raises(DomainViolation, match="second derivative of ln"):
+        grid_jet(spec, np.array([[0.5, 1.0, 2.0], [1.0, 1.0, 1.0]]))
 
 
 def test_univariate_jet():
@@ -192,3 +203,43 @@ def test_composition_consistency(spec):
         grad, hess = _assembled_jet(spec, p)
         assert j.gradient == pytest.approx(grad, rel=1e-12)
         assert j.hessian == pytest.approx(hess, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# grid jets
+# ---------------------------------------------------------------------------
+
+def _coords(points):
+    return np.array([p.coords for p in points]).T.copy()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    FAMILY_SPECS + [fx.spec for fx in catalog_fixtures()],
+    ids=[f"family{i}" for i in range(len(FAMILY_SPECS))] + [fx.name for fx in catalog_fixtures()],
+)
+def test_grid_jet_equals_jet_at_every_point_bitwise(spec):
+    points = default_grid(spec.n).points()
+    grid = grid_jet(spec, _coords(points))
+    assert grid.value.shape == (len(points),)
+    assert grid.gradient.shape == (spec.n, len(points))
+    assert grid.hessian.shape == (spec.n, spec.n, len(points))
+    for k, p in enumerate(points):
+        one = jet(spec, p)
+        assert np.float64(grid.value[k]).tobytes() == np.float64(one.value).tobytes()
+        assert grid.gradient[:, k].tobytes() == one.gradient.tobytes()
+        assert grid.hessian[:, :, k].tobytes() == one.hessian.tobytes()
+        at = grid.at(k)
+        assert at.hessian.tobytes() == one.hessian.tobytes() and at.value == one.value
+
+
+def test_grid_jet_of_constant_body_and_failures():
+    coords = np.array([[0.5, 1.0], [1.5, 2.0]])
+    const = grid_jet(FunctionSpec(2, Const(3.0)), coords)
+    assert const.value.tolist() == [3.0, 3.0]
+    assert not const.gradient.any() and not const.hessian.any()
+    # A failure at one point raises for the grid.
+    with pytest.raises(DomainViolation):
+        grid_jet(FunctionSpec(2, Pow(Const(1.2) - Var(0), 0.5) + Var(1)), np.array([[0.5, 1.5], [1.0, 1.0]]))
+    with pytest.raises(ArityMismatch):
+        grid_jet(FunctionSpec(2, Var(0) + Var(1)), np.ones((3, 4)))
