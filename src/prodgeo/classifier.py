@@ -30,15 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .catalog import FunctionSpec, build_family, build_quasi_product
-from .economics import hicks_elasticity, mrs, output_elasticity
-from .errors import ParameterViolation, ProdGeoError
+from .economics import substitution_values
+from .errors import ParameterViolation, ProdGeoError, rerun_per_point
 from .expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from .geometry import (
     canonical_riemann_quads,
@@ -49,8 +48,8 @@ from .geometry import (
     slope_power,
     slope_w,
 )
-from .jets import SecondOrderJet, grid_jet, jet
-from .linalg import quadratic_form
+from .jets import SecondOrderJet, grid_jet
+from .linalg import ordered_pairs, pairs, quadratic_form
 from .points import Point
 
 __all__ = [
@@ -97,8 +96,11 @@ class SampleGrid:
         for lo, hi in box:
             if not (0.0 < lo < hi) or not math.isfinite(hi):
                 raise ParameterViolation(f"grid bounds must satisfy 0 < lo < hi, got {(lo, hi)!r}")
-            # A jitter draw lo * (hi / lo) ** u above lo is at least lo * (1 + eps);
-            # if that is not below hi, points() would reject draws forever.
+            # A jitter draw lo * (hi / lo) ** u above lo is at least lo * (1 + eps)
+            # (for a normal lo; below, that rounds back to lo); if that is not
+            # below hi, points() would reject draws forever.
+            if lo < sys.float_info.min:
+                raise ParameterViolation(f"grid bound {lo!r} is below the smallest normal float")
             if not lo * (1.0 + sys.float_info.epsilon) < hi:
                 raise ParameterViolation(f"grid axis {(lo, hi)!r} is too narrow to sample")
         if self.points_per_axis < 2:
@@ -213,38 +215,12 @@ class ClassificationVerdict:
         }
 
 
-@contextmanager
-def _at(point: Point):
-    """Name ``point`` in any ProdGeoError raised inside that names none."""
-    try:
-        yield
-    except ProdGeoError as e:
-        if e.point is None:
-            e.point = point
-            e.args = (f"{e.args[0]} at point {tuple(point.coords)}",) + e.args[1:]
-        raise
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, k) for i in range(n) for k in range(i + 1, n)]
-
-
-def _evaluate_grid(
-    spec: FunctionSpec, grid: SampleGrid
-) -> tuple[list[Point], np.ndarray, SecondOrderJet]:
-    """The grid's points, their (n, P) coordinates and the grid jet."""
+def grid_points(spec: FunctionSpec, grid: SampleGrid) -> tuple[list[Point], np.ndarray]:
+    """The grid's points and their (n, P) coordinates, for ``spec``."""
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     points = grid.points()
-    coords = np.array([p.coords for p in points]).T.copy()
-    try:
-        return points, coords, grid_jet(spec, coords)
-    except ProdGeoError:
-        # Some point fails; one point at a time, the first one raises.
-        for p in points:
-            with _at(p):
-                jet(spec, p)
-        raise
+    return points, np.array([p.coords for p in points]).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +267,13 @@ def _curvature_stats(
     component| against ten times the threshold.
     """
     n = jets.n
-    pairs = _pairs(n)
     g, h = jets.stacked
     w = slope_w(jets)
     w2 = 1.0 + jets.gradient_sq
     abs_k = np.abs(gauss_kronecker(jets))[:, None]
     abs_h = np.abs(mean_curvature_of_jet(jets))[:, None]
     abs_r = np.abs(np.stack([riemann_component(jets, *q) for q in canonical_riemann_quads(n)], axis=1))
-    abs_s = np.abs(np.stack([sectional_curvature(jets, i, k) for i, k in pairs], axis=1))
+    abs_s = np.abs(np.stack([sectional_curvature(jets, i, k) for i, k in pairs(n)], axis=1))
     # Noise scales: a Hadamard-type bound on the quantity's terms (row
     # norm products for determinants and minors) over its normalizer.
     row_norms = np.sqrt((h * h).sum(axis=-1))
@@ -308,10 +283,10 @@ def _curvature_stats(
         np.abs(np.diagonal(h, axis1=-2, axis2=-1)).sum(axis=-1) / w
         + quadratic_form(ag, np.abs(h)) / slope_power(jets, 3)
     ) / n
-    minor_noise = np.stack([row_norms[:, i] * row_norms[:, k] for i, k in pairs], axis=1)
+    minor_noise = np.stack([row_norms[:, i] * row_norms[:, k] for i, k in pairs(n)], axis=1)
     r_noise = minor_noise / (w2 * w2)[:, None]
     s_noise = minor_noise / np.stack(
-        [w2 * (1.0 + g[:, i] * g[:, i] + g[:, k] * g[:, k]) for i, k in pairs], axis=1
+        [w2 * (1.0 + g[:, i] * g[:, i] + g[:, k] * g[:, k]) for i, k in pairs(n)], axis=1
     )
     k_bound = tol.zero_abs + tol.zero_rel * _noise(k_noise)
     r_bound = tol.zero_abs + tol.zero_rel * _noise(r_noise)
@@ -326,20 +301,6 @@ def _curvature_stats(
     }
 
 
-def _substitution_values(j: SecondOrderJet, x) -> tuple[list, list, list]:
-    """Output elasticities per input, |proportional-MRS deviation| per
-    ordered pair and Hicks elasticities per pair, at the point or grid
-    of ``j`` with coordinates ``x``; checks run in the order of a loop
-    over the inputs at one point."""
-    n = j.n
-    return (
-        [output_elasticity(j, x, i) for i in range(n)],
-        # proportional MRS means MRS_ik == x_i / x_k
-        [abs(mrs(j, i, k) * x[k] / x[i] - 1.0) for i in range(n) for k in range(n) if i != k],
-        [hicks_elasticity(j, x, i, k) for i, k in _pairs(n)],
-    )
-
-
 def _substitution_stats(
     points: list[Point], coords: np.ndarray, jets: SecondOrderJet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,14 +308,14 @@ def _substitution_stats(
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
     try:
         with np.errstate(all="ignore"):
-            columns = _substitution_values(jets, coords)
+            elasticities, mrs_ik, hicks = substitution_values(jets, coords)
+            hicks = list(hicks)
+            # proportional MRS means MRS_ik == x_i / x_k
+            mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
     except ProdGeoError:
-        # Some point fails; one point at a time, the first one raises.
-        for k, p in enumerate(points):
-            with _at(p):
-                _substitution_values(jets.at(k), p)
+        rerun_per_point(points, lambda k, p: list(substitution_values(jets.at(k), p)[2]))
         raise
-    return tuple(np.stack(c, axis=1) for c in columns)
+    return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +353,8 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     evaluation errors propagate with the offending point attached.
     """
     tol = tol or TolerancePolicy()
-    points, coords, jets = _evaluate_grid(spec, grid)
+    points, coords = grid_points(spec, grid)
+    jets = grid_jet(spec, coords)
     # Substitution first, so that an evaluation error at any point is
     # reported rather than a curvature overflow at a later one.
     elasticities, mrs_dev, hicks = _substitution_stats(points, coords, jets)
@@ -421,8 +383,8 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    points, coords, jets = _evaluate_grid(spec, grid)
-    _, _, hicks = _substitution_stats(points, coords, jets)
+    points, coords = grid_points(spec, grid)
+    _, _, hicks = _substitution_stats(points, coords, grid_jet(spec, coords))
     values = hicks.ravel().tolist()
     return sum(values) / len(values), max(values) - min(values)
 
@@ -626,8 +588,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tol = tol or TolerancePolicy()
     results = []
     for fx in catalog_fixtures():
-        points, _, jets = _evaluate_grid(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
-        curvature = _curvature_stats(points, jets, tol)
+        points, coords = grid_points(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
+        curvature = _curvature_stats(points, grid_jet(fx.spec, coords), tol)
         for check in fx.checks:
             results.append(_run_check(fx, check, curvature))
     return CatalogReport(tuple(results))

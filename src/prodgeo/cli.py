@@ -37,7 +37,7 @@ from .classifier import (
     verify_catalog,
 )
 from .errors import EVALUATION_ERRORS, INPUT_ERRORS
-from .reports import geometry_report, report_header, report_json_obj, report_row
+from .reports import grid_reports, report_header, report_json_obj, report_row
 
 __all__ = ["main"]
 
@@ -254,8 +254,7 @@ def _render_verify(report, fmt: str) -> str:
 
 def _cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    grid = _make_grid(args, spec.n)
-    reports = [geometry_report(spec, p) for p in grid.points()]
+    reports = grid_reports(spec, _make_grid(args, spec.n))
     _write(_render_analyze(spec, reports, args.format), args.out)
     return 0
 

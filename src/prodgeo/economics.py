@@ -21,15 +21,15 @@ partial below 1e-12 * (1 + |grad f|) raises ZeroMarginalProduct instead
 of returning a huge number; the elasticity denominator and the bordered
 determinant get the same treatment.
 
-The output elasticity, the MRS and the Hicks elasticity also take a grid
-jet (see :mod:`prodgeo.jets`) with the (n, P) array of its points'
-coordinates, giving one value per point; a check that fails at any
-point raises.  Allen elasticities are computed one point at a time.
+Every indicator also takes a grid jet (see :mod:`prodgeo.jets`) with the
+(n, P) array of its points' coordinates, giving one value per point --
+each the value the point's own jet gives, bit for bit; a check that
+fails at any point raises.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     ZeroMarginalProduct,
 )
 from .jets import PointValues, SecondOrderJet
-from .linalg import det_pivoted
+from .linalg import det_pivoted, ordered_pairs, pair_matrix, pairs, quadratic_form, symmetric_matrix
 from .points import Point, as_point
 
 __all__ = [
@@ -113,48 +113,89 @@ def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
 
 
 def allen_bordered_matrix(j: SecondOrderJet) -> np.ndarray:
-    """(n+1)x(n+1) matrix [[0, grad^T], [grad, Hess]]."""
-    n = j.n
-    b = np.zeros((n + 1, n + 1))
-    b[0, 1:] = j.gradient
-    b[1:, 0] = j.gradient
-    b[1:, 1:] = j.hessian
+    """(n+1)x(n+1) matrix [[0, grad^T], [grad, Hess]]; for a grid jet the
+    (P, n+1, n+1) stack of each point's matrix."""
+    g, h = j.stacked
+    b = np.zeros(g.shape[:-1] + (j.n + 1, j.n + 1))
+    b[..., 0, 1:] = g
+    b[..., 1:, 0] = g
+    b[..., 1:, 1:] = h
     return b
 
 
-def allen_determinant(j: SecondOrderJet) -> float:
+def allen_determinant(j: SecondOrderJet) -> PointValues:
     """Determinant of the bordered matrix."""
     return det_pivoted(allen_bordered_matrix(j))
 
 
-def _check_bordered(b: np.ndarray, delta: float):
-    scale = 1.0
-    for row in b:
-        scale *= math.sqrt(float(row @ row))
-    if abs(delta) <= ZERO_MARGINAL_RTOL * (1.0 + scale):
-        raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({delta!r})")
+def _allen(j: SecondOrderJet, x) -> tuple[list[PointValues], PointValues]:
+    """Allen elasticities of the pairs i < k, in order, and the bordered
+    determinant, at the point or grid of ``j`` with coordinates ``x``.
+    One stacked determinant gives the cofactors of all pairs."""
+    n = j.n
+    b = allen_bordered_matrix(j)
+    delta = det_pivoted(b)
+    row_norms = np.sqrt(quadratic_form(b.reshape(-1, n + 1))).reshape(b.shape[:-1])
+    singular = abs(delta) <= ZERO_MARGINAL_RTOL * (1.0 + np.prod(row_norms, axis=-1))
+    if j.anywhere(singular):
+        first = float(np.asarray(delta)[singular][0])
+        raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({first!r})")
+    # The cofactor of f_ik leaves out row i+1 and column k+1.
+    at = pairs(n)
+    minors = np.stack([np.delete(np.delete(b, i + 1, axis=-2), k + 1, axis=-1) for i, k in at], axis=-3)
+    minor_dets = det_pivoted(minors.reshape(-1, n, n)).reshape(minors.shape[:-2])
+    # x @ grad by matmul, which rounds each point as the 1-D ``@`` does.
+    xs = np.ascontiguousarray(x.T) if j.is_grid else np.array(x.coords)
+    weighted = (xs[..., None, :] @ j.stacked[0][..., :, None])[..., 0, 0]
+    values = []
+    for m, (i, k) in enumerate(at):
+        cofactor = (-1.0) ** ((i + 1) + (k + 1)) * minor_dets[..., m]
+        values.append(j.unbox(weighted / (x[i] * x[k]) * cofactor / delta))
+    return values, delta
 
 
-def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> float:
+def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
     """Allen elasticity of substitution between inputs i and k."""
     j.check_index(i, k)
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
-    i, k = (i, k) if i < k else (k, i)
-    point = as_point(p)
-    b = allen_bordered_matrix(j)
-    delta = det_pivoted(b)
-    _check_bordered(b, delta)
-    return _allen_of_bordered(j, point, b, delta, i, k)
+    values, _ = _allen(j, _coords(p))
+    return values[pairs(j.n).index((min(i, k), max(i, k)))]
 
 
-def _allen_of_bordered(j: SecondOrderJet, point: Point, b: np.ndarray, delta: float, i: int, k: int) -> float:
-    """Allen elasticity of the pair i < k from the checked bordered matrix
-    ``b`` and its determinant ``delta``."""
-    minor = np.delete(np.delete(b, i + 1, axis=0), k + 1, axis=1)
-    cofactor = (-1.0) ** ((i + 1) + (k + 1)) * det_pivoted(minor)
-    weighted = float(np.array(point.coords) @ j.gradient)
-    return weighted / (point[i] * point[k]) * cofactor / delta
+def substitution_values(j: SecondOrderJet, x) -> tuple[list, list, Iterator[PointValues]]:
+    """Output elasticities per input and MRS per ordered pair, as lists,
+    and an iterator over the Hicks elasticities per pair, at the point or
+    grid of ``j`` with coordinates ``x``.  Checks run as the values are
+    computed, in the order of a loop over the inputs at one point."""
+    n = j.n
+    return (
+        [output_elasticity(j, x, i) for i in range(n)],
+        [mrs(j, i, k) for i, k in ordered_pairs(n)],
+        (hicks_elasticity(j, x, i, k) for i, k in pairs(n)),
+    )
+
+
+def substitution_fields(j: SecondOrderJet, x) -> dict:
+    """Every field of a SubstitutionSample but the point, at the point or
+    grid of ``j`` with coordinates ``x``; a grid's fields carry a leading
+    point axis."""
+    n = j.n
+    elasticities, mrs_values, hicks = substitution_values(j, x)
+    # The bordered determinant is checked after the first Hicks value: a
+    # point where both fail reports the Hicks error, as a loop over the
+    # pairs computing Hicks, then Allen elasticities would.
+    first_hicks = next(hicks)
+    allen, delta = _allen(j, x)
+    elasticities = np.stack(elasticities, axis=-1)
+    elasticities.setflags(write=False)
+    return dict(
+        elasticities=elasticities,
+        mrs=pair_matrix(n, ordered_pairs(n), mrs_values, 1.0),
+        hicks=symmetric_matrix(n, [first_hicks, *hicks]),
+        allen=symmetric_matrix(n, allen),
+        allen_determinant=delta,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,32 +216,4 @@ class SubstitutionSample:
 
 def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
     point = as_point(p)
-    n = j.n
-    elasticities = np.array([output_elasticity(j, point, i) for i in range(n)])
-    mrs_m = np.ones((n, n))
-    hicks_m = np.full((n, n), math.nan)
-    allen_m = np.full((n, n), math.nan)
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                mrs_m[i, k] = mrs(j, i, k)
-    b = allen_bordered_matrix(j)
-    delta = det_pivoted(b)
-    for i in range(n):
-        for k in range(i + 1, n):
-            hicks_m[i, k] = hicks_m[k, i] = hicks_elasticity(j, point, i, k)
-            if (i, k) == (0, 1):
-                # After the first Hicks value: a point where both fail
-                # reports the Hicks error, as allen_elasticity per pair would.
-                _check_bordered(b, delta)
-            allen_m[i, k] = allen_m[k, i] = _allen_of_bordered(j, point, b, delta, i, k)
-    for m in (elasticities, mrs_m, hicks_m, allen_m):
-        m.setflags(write=False)
-    return SubstitutionSample(
-        point=point,
-        elasticities=elasticities,
-        mrs=mrs_m,
-        hicks=hicks_m,
-        allen=allen_m,
-        allen_determinant=delta,
-    )
+    return SubstitutionSample(point=point, **substitution_fields(j, point))

@@ -29,7 +29,6 @@ coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .catalog import FunctionSpec, as_point
 from .errors import ArityMismatch, DegenerateOuter, DomainViolation, StructureMissing
 from .jets import PointValues, SecondOrderJet, jet, univariate_jet
-from .linalg import det_pivoted, quadratic_form
+from .linalg import det_pivoted, pairs, quadratic_form, symmetric_matrix
 from .points import Point
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "canonical_riemann_quads",
     "CurvatureSample",
     "curvature_sample",
-    "curvature_sample_of_jet",
     "quasi_product_hessian_det",
 ]
 
@@ -65,9 +63,13 @@ def slope_w(j: SecondOrderJet) -> PointValues:
 
 def slope_power(j: SecondOrderJet, e: int) -> PointValues:
     """w ** e, by Python's float power one point at a time (numpy's
-    vectorized power rounds differently)."""
+    vectorized power rounds differently).  Raises DomainViolation where
+    it overflows."""
     w = slope_w(j)
-    return np.array([v**e for v in w.tolist()]) if j.is_grid else w**e
+    try:
+        return np.array([v**e for v in w.tolist()]) if j.is_grid else w**e
+    except OverflowError:
+        raise DomainViolation(f"slope factor power overflows: {float(np.max(w))!r} ** {e}") from None
 
 
 def hessian_determinant(j: SecondOrderJet) -> PointValues:
@@ -132,7 +134,7 @@ def canonical_riemann_quads(n: int) -> list[tuple[int, int, int, int]]:
     flatness verdict monitors, and they determine every coordinate-plane
     sectional curvature (same minors, different normalizer).
     """
-    return [(i, j, j, i) for i in range(n) for j in range(i + 1, n)]
+    return [(i, j, j, i) for i, j in pairs(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,28 +157,15 @@ class CurvatureSample:
 
 def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
     point = as_point(p)
-    return curvature_sample_of_jet(jet(spec, point), point, extra_quads)
-
-
-def curvature_sample_of_jet(j: SecondOrderJet, p, extra_quads=()) -> CurvatureSample:
-    """Every curvature quantity at ``p`` from the jet there."""
-    point = as_point(p)
+    j = jet(spec, point)
     n = j.n
-    sect = np.full((n, n), math.nan)
-    for i in range(n):
-        for k in range(i + 1, n):
-            sect[i, k] = sectional_curvature(j, i, k)
-            sect[k, i] = sect[i, k]
-    sect.setflags(write=False)
-    quads = list(canonical_riemann_quads(n)) + [q for q in extra_quads]
-    riemann = {q: riemann_component(j, *q) for q in quads}
     return CurvatureSample(
         point=point,
+        sectional=symmetric_matrix(n, [sectional_curvature(j, i, k) for i, k in pairs(n)]),
+        riemann={q: riemann_component(j, *q) for q in canonical_riemann_quads(n) + list(extra_quads)},
         w=slope_w(j),
         gauss_kronecker=gauss_kronecker(j),
         mean=mean_curvature_of_jet(j),
-        sectional=sect,
-        riemann=riemann,
     )
 
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
+from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain, rerun_per_point
 from .expr import Expr, eval_expr, eval_value, variables
 from .linalg import quadratic_form
 from .points import as_point
@@ -312,14 +312,18 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
     ``coords`` is (n, P): column k holds the coordinates of point k, a
     point of the positive orthant.  The result carries a trailing point
     axis and equals ``jet()`` at each point bit for bit.  Memory grows
-    linearly in P.  A failure at any point raises DomainViolation without
-    naming the first failing point; ``jet()`` at the points in order does.
+    linearly in P.  A failure at any point raises the error of the first
+    failing point, as ``jet()`` at the points in order does.
     """
     if coords.shape[0] != spec.n:
         raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
-    # Points that fail a check carry inf or NaN onward until it raises.
-    with np.errstate(all="ignore"):
-        return _checked(propagate(spec, coords))
+    try:
+        # Points that fail a check carry inf or NaN onward until it raises.
+        with np.errstate(all="ignore"):
+            return _checked(propagate(spec, coords))
+    except DomainViolation:
+        rerun_per_point([as_point(x) for x in coords.T], lambda _, p: jet(spec, p))
+        raise
 
 
 def univariate_jet(e: Expr, x: float) -> tuple[float, float, float]:

@@ -1,5 +1,5 @@
 """Determinants and quadratic forms of small dense matrices, one at a
-time or stacked.
+time or stacked, and the input pairs that index pairwise indicators.
 
 A stack puts its leading axis first, as numpy does: (P, m, m) matrices,
 (P, n) vectors.  Each member of a stack is rounded exactly as it would
@@ -9,9 +9,11 @@ points, bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["det_pivoted", "quadratic_form"]
+__all__ = ["det_pivoted", "quadratic_form", "pairs", "ordered_pairs", "pair_matrix", "symmetric_matrix"]
 
 
 def det_pivoted(a: np.ndarray):
@@ -24,38 +26,14 @@ def det_pivoted(a: np.ndarray):
     ``a`` is one (m, m) matrix, giving a float, or a (P, m, m) stack,
     giving one determinant per matrix.  Each matrix of a stack keeps its
     own pivot choices and elimination order; a zero pivot zeroes only
-    that matrix's determinant.
+    that matrix's determinant.  One matrix is a stack of one.
     """
     a = np.array(a, dtype=float)
     m, mm = a.shape[-2:]
     if m != mm:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.ndim == 3:
-        return _det_stack(a)
-    # One matrix: the same elimination as _det_stack, in scalar steps,
-    # which cost a third of a stack of one.
-    if m == 1:
-        return float(a[0, 0])
-    if m == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    det = 1.0
-    for col in range(m):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
-        for row in range(col + 1, m):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-    return float(det)
-
-
-def _det_stack(a: np.ndarray) -> np.ndarray:
-    """Determinants of a (P, m, m) stack, eliminated in place."""
-    m = a.shape[-1]
+    if a.ndim == 2:
+        return float(det_pivoted(a[None])[0])
     if m == 1:
         return a[:, 0, 0].copy()
     if m == 2:
@@ -94,3 +72,32 @@ def quadratic_form(u: np.ndarray, m: np.ndarray | None = None):
     if m is not None:
         left = left @ m
     return (left @ u[:, :, None])[:, 0, 0]
+
+
+def pairs(n: int) -> list[tuple[int, int]]:
+    """The input pairs i < k, in the order of a loop over i, then k."""
+    return [(i, k) for i in range(n) for k in range(i + 1, n)]
+
+
+def ordered_pairs(n: int) -> list[tuple[int, int]]:
+    """The ordered input pairs i != k, in the order of a loop over i, then k."""
+    return [(i, k) for i in range(n) for k in range(n) if i != k]
+
+
+def pair_matrix(n: int, at: list[tuple[int, int]], values: list, diagonal: float) -> np.ndarray:
+    """The read-only n x n matrix with ``diagonal`` on its diagonal and
+    ``values[m]`` at position ``at[m]``.  Values with one entry per point
+    give the (P, n, n) stack of each point's matrix."""
+    v = np.stack(values, axis=-1)
+    matrix = np.full(v.shape[:-1] + (n, n), diagonal)
+    rows, cols = zip(*at)
+    matrix[..., rows, cols] = v
+    matrix.setflags(write=False)
+    return matrix
+
+
+def symmetric_matrix(n: int, values: list) -> np.ndarray:
+    """``pair_matrix`` of one value per pair i < k, mirrored, with NaN
+    (undefined for a single input) on the diagonal."""
+    at = pairs(n)
+    return pair_matrix(n, at + [(k, i) for i, k in at], values + values, math.nan)

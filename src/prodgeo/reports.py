@@ -1,6 +1,7 @@
-"""Per-point analysis reports, assembled from the curvature and
-substitution records of one jet, with flat renderings for CSV and JSON
-output.
+"""Per-point analysis reports, with flat renderings for CSV and JSON
+output.  One field builder applies the geometry and economics formulas
+to a one-point jet or to a grid jet, so a grid's reports equal the
+reports of its points bit for bit.
 
 Index labels in rendered output are 1-based (x1, x2, ...) to read
 naturally; the in-process API stays 0-based.
@@ -13,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import FunctionSpec, as_point
-from .economics import substitution_sample
-from .geometry import curvature_sample_of_jet
-from .jets import jet
+from .classifier import SampleGrid, grid_points
+from .economics import substitution_fields
+from .errors import ProdGeoError, rerun_per_point
+from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
+from .jets import SecondOrderJet, grid_jet, jet
+from .linalg import ordered_pairs, pairs, symmetric_matrix
 from .points import Point
 
-__all__ = ["GeometryReport", "geometry_report", "report_header", "report_row", "report_json_obj"]
+__all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_header", "report_row", "report_json_obj"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,58 +46,65 @@ class GeometryReport:
         return len(self.point)
 
 
-def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
-    point = as_point(p)
-    j = jet(spec, point)
+def _fields(j: SecondOrderJet, x) -> dict:
+    """Every GeometryReport field but the point, at the point or grid of
+    ``j`` with coordinates ``x``; a grid's fields carry a leading point
+    axis."""
     # Substitution first: its evaluation errors take precedence over a
     # curvature overflow at the same point.
-    sub = substitution_sample(j, point)
-    curv = curvature_sample_of_jet(j, point)
-    return GeometryReport(
-        point=point,
+    return dict(
+        substitution_fields(j, x),
         value=j.value,
-        slope=curv.w,
-        gauss_kronecker=curv.gauss_kronecker,
-        mean_curvature=curv.mean,
-        sectional=curv.sectional,
-        elasticities=sub.elasticities,
-        mrs=sub.mrs,
-        hicks=sub.hicks,
-        allen=sub.allen,
-        allen_determinant=sub.allen_determinant,
+        slope=slope_w(j),
+        gauss_kronecker=gauss_kronecker(j),
+        mean_curvature=mean_curvature_of_jet(j),
+        sectional=symmetric_matrix(j.n, [sectional_curvature(j, i, k) for i, k in pairs(j.n)]),
     )
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, k) for i in range(n) for k in range(i + 1, n)]
+def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
+    point = as_point(p)
+    return GeometryReport(point=point, **_fields(jet(spec, point), point))
 
 
-def _ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, k) for i in range(n) for k in range(n) if i != k]
+def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
+    """``geometry_report`` at every point of the grid, evaluated at once.
+
+    When any point fails, the points are re-run one at a time in grid
+    order, so the first failing point raises, its error naming it.
+    """
+    points, coords = grid_points(spec, grid)
+    try:
+        # Warnings are off: a loop over the points would stop at the first failing one.
+        with np.errstate(all="ignore"):
+            fields = _fields(grid_jet(spec, coords), coords)
+    except ProdGeoError:
+        rerun_per_point(points, lambda _, p: geometry_report(spec, p))
+        raise
+    return [
+        GeometryReport(point=p, **{name: v[k] if v.ndim > 1 else float(v[k]) for name, v in fields.items()})
+        for k, p in enumerate(points)
+    ]
 
 
 def report_header(n: int) -> list[str]:
     cols = [f"x{i + 1}" for i in range(n)]
     cols += ["f", "w", "gauss_kronecker", "mean_curvature"]
-    cols += [f"sectional_{i + 1}_{k + 1}" for i, k in _pairs(n)]
+    cols += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs(n)]
     cols += [f"elasticity_x{i + 1}" for i in range(n)]
-    cols += [f"mrs_{i + 1}_{k + 1}" for i, k in _ordered_pairs(n)]
-    cols += [f"hicks_{i + 1}_{k + 1}" for i, k in _pairs(n)]
-    cols += [f"allen_{i + 1}_{k + 1}" for i, k in _pairs(n)]
+    cols += [f"mrs_{i + 1}_{k + 1}" for i, k in ordered_pairs(n)]
+    cols += [f"hicks_{i + 1}_{k + 1}" for i, k in pairs(n)]
+    cols += [f"allen_{i + 1}_{k + 1}" for i, k in pairs(n)]
     cols += ["allen_determinant"]
     return cols
 
 
 def report_row(r: GeometryReport) -> list[float]:
-    n = r.n
-    row = list(r.point.coords)
-    row += [r.value, r.slope, r.gauss_kronecker, r.mean_curvature]
-    row += [float(r.sectional[i, k]) for i, k in _pairs(n)]
-    row += [float(v) for v in r.elasticities]
-    row += [float(r.mrs[i, k]) for i, k in _ordered_pairs(n)]
-    row += [float(r.hicks[i, k]) for i, k in _pairs(n)]
-    row += [float(r.allen[i, k]) for i, k in _pairs(n)]
-    row += [r.allen_determinant]
+    """The values of ``report_json_obj``, flattened in the order of
+    ``report_header``."""
+    row = []
+    for v in report_json_obj(r).values():
+        row += v if isinstance(v, list) else list(v.values()) if isinstance(v, dict) else [v]
     return row
 
 
@@ -105,10 +116,10 @@ def report_json_obj(r: GeometryReport) -> dict:
         "w": r.slope,
         "gauss_kronecker": r.gauss_kronecker,
         "mean_curvature": r.mean_curvature,
-        "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in _pairs(n)},
+        "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs(n)},
         "elasticity": {f"x{i + 1}": float(v) for i, v in enumerate(r.elasticities)},
-        "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in _ordered_pairs(n)},
-        "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in _pairs(n)},
-        "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in _pairs(n)},
+        "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in ordered_pairs(n)},
+        "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs(n)},
+        "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs(n)},
         "allen_determinant": r.allen_determinant,
     }

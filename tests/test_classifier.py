@@ -74,6 +74,13 @@ def test_grid_rejects_axis_too_narrow_to_sample(axis):
         assert wide[0] < p[0] < wide[1]
 
 
+def test_grid_rejects_subnormal_bound():
+    # lo * (1 + eps) rounds back to lo there, and no jitter draw lands
+    # strictly between 5e-324 and 1e-323.
+    with pytest.raises(ParameterViolation, match="smallest normal"):
+        SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1)
+
+
 def test_default_grid_shape():
     assert default_grid(2).points_per_axis == 7
     assert default_grid(3).points_per_axis == 7

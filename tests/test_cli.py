@@ -73,6 +73,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "1.0:1.0000000000000002,1:2"
     )
     assert rc == 2 and "too narrow" in err
+    rc, _, err = run(
+        capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "5e-324:1e-323"
+    )
+    assert rc == 2 and "smallest normal" in err
 
 
 @pytest.mark.parametrize(
@@ -183,6 +187,40 @@ def test_classify_names_the_first_failing_point(capsys, monkeypatch):
     rc, out, err = _classify_stdin(capsys, monkeypatch, doc)
     assert (rc, out) == (3, "")
     assert err == f"evaluation error: {direct.value} at point {first_bad.coords}\n"
+
+
+def test_analyze_names_the_first_failing_point(capsys, monkeypatch):
+    import io
+
+    doc = {"n": 2, "family": "custom", "body": ["add", ["var", 0], ["var", 1]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc, out, err = run(capsys, "analyze", "--spec", "-")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "evaluation error: substitution denominator is numerically zero for inputs 1, 2"
+        " at point (0.5520447568369061, 0.5520447568369061)\n"
+    )
+
+
+def test_analyze_evaluates_the_grid_at_once(capsys, monkeypatch):
+    import prodgeo.geometry
+    import prodgeo.jets
+    import prodgeo.reports
+
+    calls = {"jet": 0, "grid_jet": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (prodgeo.jets, prodgeo.reports, prodgeo.geometry):
+        monkeypatch.setattr(module, "jet", counting("jet", module.jet))
+    monkeypatch.setattr(prodgeo.reports, "grid_jet", counting("grid_jet", prodgeo.reports.grid_jet))
+    rc, out, _ = run(capsys, "analyze", "--family", "acms", "--params", "A=1,k=1:0.5:0.7,rho=0.5,gamma=0.9")
+    assert rc == 0 and len(json.loads(out)["rows"]) == 7**3 + 32
+    assert calls == {"jet": 0, "grid_jet": 1}
 
 
 def test_ln_of_tiny_value_exits_3(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from prodgeo.economics import (
 )
 from prodgeo.errors import (
     DegenerateDenominator,
+    DomainViolation,
     ProdGeoError,
     SingularAllenDeterminant,
     ZeroMarginalProduct,
@@ -25,7 +26,7 @@ from prodgeo.errors import (
 from prodgeo.expr import Const, Exp, Mul, Pow, Var
 from prodgeo.geometry import curvature_sample
 from prodgeo.jets import jet
-from prodgeo.reports import geometry_report
+from prodgeo.reports import geometry_report, grid_reports
 
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
 
@@ -313,6 +314,35 @@ def test_geometry_report_is_assembled_from_the_samples(spec):
     ]
     for got, want in pairs:
         assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        # jet() fails only where x1 > 1.5
+        (FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Var(1)), DomainViolation),
+        # df/dx2 = -40 exp(-40 x2) is numerically zero for larger x2 only
+        (FunctionSpec(2, Var(0) + Exp(Mul(Const(-40.0), Var(1)))), ZeroMarginalProduct),
+        # Hicks(1, 3) and the bordered determinant fail everywhere; the
+        # determinant is checked after the first Hicks value, Hicks(1, 2)
+        (FunctionSpec(3, Pow((Var(0) + Var(2)) * Var(1), 0.5)), SingularAllenDeterminant),
+    ],
+)
+def test_grid_reports_raise_the_error_of_a_loop_over_the_points(spec, error):
+    from prodgeo.classifier import default_grid
+
+    grid = default_grid(spec.n)
+    with pytest.raises(error) as exc:
+        grid_reports(spec, grid)
+    for p in grid.points():
+        try:
+            geometry_report(spec, p)
+        except ProdGeoError as e:
+            direct = e
+            break
+    assert type(direct) is error and exc.value.point == p
+    # jet() names the point itself, and the CLI appends it when rendering.
+    assert str(exc.value) == (str(direct) if direct.point is not None else f"{direct} at point {p.coords}")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
-from prodgeo.errors import DegenerateOuter, ProdGeoError, StructureMissing
+from prodgeo.errors import DegenerateOuter, DomainViolation, ProdGeoError, StructureMissing
 from prodgeo.expr import Add, Const, Exp, Ln, Mul, Pow, Var, substitute
 from prodgeo.geometry import (
     canonical_riemann_quads,
@@ -294,6 +294,16 @@ def test_quasi_product_det_matches_generic_on_random_fixtures():
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def test_slope_factor_overflow_is_a_domain_violation():
+    # w is about 1.2e93 at this point, so w ** 5 overflows a float.
+    spec = FunctionSpec(3, Pow(Var(0), -300.0) + Pow(Var(1), 2.0) + Pow(Var(2), 2.0))
+    p = (0.5, 1.0, 1.0)
+    with pytest.raises(DomainViolation, match="slope factor power overflows"):
+        gauss_kronecker(jet(spec, p))
+    with pytest.raises(DomainViolation, match="slope factor power overflows"):
+        curvature_sample(spec, p)
 
 
 def test_stacked_det_pivoted_equals_each_matrix_bitwise():

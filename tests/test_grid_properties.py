@@ -13,6 +13,7 @@ from prodgeo.classifier import SampleGrid, estimate_sigma
 from prodgeo.economics import hicks_elasticity
 from prodgeo.errors import ProdGeoError
 from prodgeo.jets import grid_jet, jet
+from prodgeo.reports import geometry_report, grid_reports
 
 positive = st.floats(0.2, 2.0)
 signed = st.floats(-1.5, 1.5).filter(lambda v: abs(v) > 0.05)
@@ -87,3 +88,20 @@ def test_estimate_sigma_equals_pointwise_hicks_loop(case):
             estimate_sigma(spec, grid)
         return
     assert estimate_sigma(spec, grid) == (sum(values) / len(values), max(values) - min(values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(specs_and_grids())
+def test_grid_reports_equal_pointwise_reports(case):
+    spec, grid = case
+    points = grid.points()
+    try:
+        singles = [geometry_report(spec, p) for p in points]
+    except ProdGeoError as e:
+        with pytest.raises(type(e)):
+            grid_reports(spec, grid)
+        return
+    for row, one in zip(grid_reports(spec, grid), singles, strict=True):
+        for name in one.__dataclass_fields__:
+            got, want = getattr(row, name), getattr(one, name)
+            assert got == want if name == "point" else _bits(got) == _bits(want)

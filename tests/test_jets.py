@@ -233,13 +233,49 @@ def test_grid_jet_equals_jet_at_every_point_bitwise(spec):
         assert at.hessian.tobytes() == one.hessian.tobytes() and at.value == one.value
 
 
+@pytest.mark.parametrize(
+    "spec",
+    FAMILY_SPECS + [fx.spec for fx in catalog_fixtures()],
+    ids=[f"family{i}" for i in range(len(FAMILY_SPECS))] + [fx.name for fx in catalog_fixtures()],
+)
+def test_grid_reports_equal_geometry_report_at_every_point_bitwise(spec):
+    from prodgeo.errors import ProdGeoError
+    from prodgeo.reports import geometry_report, grid_reports
+
+    grid = default_grid(spec.n)
+    try:
+        rows = grid_reports(spec, grid)
+    except ProdGeoError as e:
+        # Fixtures that are not valid economics everywhere: the first
+        # failing point of a loop over the points raises the same error.
+        for p in grid.points():
+            try:
+                geometry_report(spec, p)
+            except ProdGeoError as direct:
+                assert (type(e), e.point) == (type(direct), p)
+                return
+        raise
+    assert len(rows) == len(grid.points())
+    for row, p in zip(rows, grid.points()):
+        one = geometry_report(spec, p)
+        assert row.point == p
+        for name in one.__dataclass_fields__:
+            got, want = getattr(row, name), getattr(one, name)
+            if name != "point":
+                assert type(got) is type(want), name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+                if isinstance(want, np.ndarray):
+                    assert got.flags.writeable == want.flags.writeable, name
+
+
 def test_grid_jet_of_constant_body_and_failures():
     coords = np.array([[0.5, 1.0], [1.5, 2.0]])
     const = grid_jet(FunctionSpec(2, Const(3.0)), coords)
     assert const.value.tolist() == [3.0, 3.0]
     assert not const.gradient.any() and not const.hessian.any()
-    # A failure at one point raises for the grid.
-    with pytest.raises(DomainViolation):
-        grid_jet(FunctionSpec(2, Pow(Const(1.2) - Var(0), 0.5) + Var(1)), np.array([[0.5, 1.5], [1.0, 1.0]]))
+    # A failure at one point raises for the grid, naming the first failing point.
+    with pytest.raises(DomainViolation) as exc:
+        grid_jet(FunctionSpec(2, Pow(Const(1.2) - Var(0), 0.5) + Var(1)), np.array([[0.5, 1.5, 2.0], [1.0, 1.0, 1.0]]))
+    assert exc.value.point.coords == (1.5, 1.0)
     with pytest.raises(ArityMismatch):
         grid_jet(FunctionSpec(2, Var(0) + Var(1)), np.ones((3, 4)))
