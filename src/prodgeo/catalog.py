@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .economics import ZERO_MARGINAL_RTOL, zero_marginal
 from .errors import (
     ArityMismatch,
     DomainViolation,
@@ -42,6 +43,7 @@ from .expr import (
     Mul,
     Pow,
     Var,
+    check_depth,
     eval_value,
     expr_from_obj,
     expr_to_obj,
@@ -50,6 +52,7 @@ from .expr import (
     variables,
 )
 from .jets import propagate, univariate_jet
+from .linalg import quadratic_form
 from .points import Point, as_point
 
 __all__ = [
@@ -80,13 +83,11 @@ FAMILIES = frozenset(
     }
 )
 
-# Points sampled per axis by validate(); the full grid is capped below.
+# Points sampled per axis by validate(), the cap on its mesh, and the
+# points it evaluates at once, which bounds its memory.
 _VALIDATE_POINTS_PER_AXIS = 5
 _VALIDATE_MAX_POINTS = 100_000
-
-# A first derivative this small (relative to the gradient norm) counts
-# as a vanishing marginal product.
-_ZERO_DERIVATIVE_RTOL = 1e-12
+_VALIDATE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ class FunctionSpec:
             raise ParameterViolation(f"a production function needs n >= 2 inputs, got {self.n!r}")
         if self.family not in FAMILIES:
             raise ParameterViolation(f"unknown family {self.family!r}")
+        for e in (self.body, self.outer, *(self.inners or ())):
+            check_depth(e)
         used = variables(self.body)
         if used and max(used) >= self.n:
             raise ExpressionError(
@@ -275,6 +278,7 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
         raise ArityMismatch("a production function needs at least 2 inputs")
     if not isinstance(outer, Expr):
         raise ExpressionError(f"outer must be an expression, got {outer!r}")
+    check_depth(outer)
     outer_vars = variables(outer)
     if len(outer_vars) != 1:
         raise ArityMismatch("outer expression must use exactly one variable")
@@ -283,6 +287,7 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
     for i, g in enumerate(inners):
         if not isinstance(g, Expr):
             raise ExpressionError(f"inner factor {i} must be an expression, got {g!r}")
+        check_depth(g)
         g_vars = variables(g)
         if len(g_vars) != 1:
             raise ArityMismatch(f"inner factor {i} must use exactly one variable")
@@ -334,81 +339,69 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     vanishing first partials, and for composite functions a vanishing
     outer derivative, vanishing inner derivatives or non-positive inner
     values.  Diagnostics are the output; nothing raises for a bad
-    function, only for a bad region.
+    function, only for a bad region.  Blocks of points are evaluated at
+    once, and a block where a point fails again one point at a time.
     """
     region = [(float(lo), float(hi)) for lo, hi in region]
     if len(region) != spec.n:
         raise ParameterViolation(f"region has {len(region)} axes, function has {spec.n} inputs")
     for lo, hi in region:
-        if not (0.0 < lo < hi) or not math.isfinite(hi):
-            raise ParameterViolation(f"region bounds must satisfy 0 < lo < hi, got {(lo, hi)!r}")
+        if not (0.0 < lo < hi) or not math.isfinite(hi / lo):
+            raise ParameterViolation(f"region bounds need 0 < lo < hi and a finite hi / lo, got {(lo, hi)!r}")
 
     axes = [_axis_samples(lo, hi, _VALIDATE_POINTS_PER_AXIS) for lo, hi in region]
     mesh = itertools.islice(itertools.product(*axes), _VALIDATE_MAX_POINTS)
-
     findings: list[Diagnostic] = []
-    for coords in mesh:
-        point = Point(coords)
+    while block := list(itertools.islice(mesh, _VALIDATE_BLOCK)):
+        coords = np.array(block).T
         try:
-            out = propagate(spec, coords)
-        except DomainViolation as e:
-            findings.append(Diagnostic(point, "evaluation_error", str(e)))
-            continue
-        value, gradient = out.f, out.g
-        if not math.isfinite(value) or value <= 0.0:
-            findings.append(
-                Diagnostic(point, "nonpositive_output", f"f = {value!r}", value=float(value))
-            )
-        gnorm = float(np.sqrt(gradient @ gradient)) if np.all(np.isfinite(gradient)) else math.inf
+            findings += _findings(spec, block, coords)
+        except DomainViolation:
+            for k, point in enumerate(block):
+                try:
+                    findings += _findings(spec, [point], coords[:, k : k + 1])
+                except DomainViolation as e:
+                    findings.append(Diagnostic(Point(point), "evaluation_error", str(e)))
+    return findings
+
+
+def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagnostic]:
+    """The findings at the points ``block``, with coordinates ``coords``
+    (n, P), in point order; raises DomainViolation if any point fails."""
+    with np.errstate(all="ignore"):
+        out = propagate(spec, coords)
+        f, g = out.f, np.ascontiguousarray(out.g.T)
+        g_sq = np.where(np.isfinite(g).all(axis=1), quadratic_form(g), math.inf)
+        # (mask, code, message, axis, values): one finding where mask holds.
+        checks = [(~np.isfinite(f) | (f <= 0.0), "nonpositive_output", "f = {!r}", None, f)]
         for i in range(spec.n):
-            gi = float(gradient[i])
-            if not math.isfinite(gi) or abs(gi) <= _ZERO_DERIVATIVE_RTOL * (1.0 + gnorm):
-                findings.append(
-                    Diagnostic(
-                        point,
-                        "zero_partial",
-                        f"df/dx{i + 1} = {gi!r}",
-                        axis=i,
-                        value=gi,
-                    )
-                )
+            zero = ~np.isfinite(g[:, i]) | zero_marginal(g[:, i], g_sq)
+            checks.append((zero, "zero_partial", f"df/dx{i + 1} = {{!r}}", i, g[:, i]))
         if spec.has_composition:
-            findings.extend(_composition_diagnostics(spec, point))
-    return findings
-
-
-def _composition_diagnostics(spec: FunctionSpec, point: Point) -> list[Diagnostic]:
-    findings: list[Diagnostic] = []
-    u = 1.0
-    ok = True
-    for i, g in enumerate(spec.inners):
-        try:
-            gv, gd, _ = univariate_jet(g, point[i])
-        except DomainViolation as e:
-            findings.append(Diagnostic(point, "evaluation_error", str(e), axis=i))
-            ok = False
-            continue
-        if gv <= 0.0:
-            findings.append(
-                Diagnostic(point, "inner_nonpositive", f"g{i + 1} = {gv!r}", axis=i, value=gv)
-            )
-            ok = False
-        if abs(gd) <= _ZERO_DERIVATIVE_RTOL * (1.0 + abs(gv)):
-            findings.append(
-                Diagnostic(point, "zero_inner_derivative", f"g{i + 1}' = {gd!r}", axis=i, value=gd)
-            )
-        u *= gv
-    if ok:
-        try:
+            # The parts cannot fail here: the body is outer(inner product)
+            # node for node (FunctionSpec checks it), every domain check of
+            # a jet reads only values, and the body evaluated at every point.
+            # Unless every inner is a constant like x^0: the body then takes
+            # the outer of a float, skipping the derivative checks of ln and **.
+            u, regular = 1.0, True
+            for i, inner in enumerate(spec.inners):
+                gv, gd, _ = univariate_jet(inner, coords[i])
+                zero = abs(gd) <= ZERO_MARGINAL_RTOL * (1.0 + abs(gv))
+                checks.append((gv <= 0.0, "inner_nonpositive", f"g{i + 1} = {{!r}}", i, gv))
+                checks.append((zero, "zero_inner_derivative", f"g{i + 1}' = {{!r}}", i, gd))
+                regular &= ~(gv <= 0.0)
+                u = u * gv
             _, fd1, _ = univariate_jet(spec.outer, u)
-        except DomainViolation as e:
-            findings.append(Diagnostic(point, "evaluation_error", str(e)))
-            return findings
-        if abs(fd1) <= _ZERO_DERIVATIVE_RTOL:
-            findings.append(
-                Diagnostic(point, "zero_outer_derivative", f"F' = {fd1!r}", value=fd1)
-            )
-    return findings
+            zero = regular & (abs(fd1) <= ZERO_MARGINAL_RTOL)
+            checks.append((zero, "zero_outer_derivative", "F' = {!r}", None, fd1))
+    found = []
+    for k in np.flatnonzero(np.any([mask for mask, *_ in checks], axis=0)):
+        point = Point(block[k])
+        for mask, code, message, axis, values in checks:
+            if mask[k]:
+                v = float(values[k])
+                found.append(Diagnostic(point, code, message.format(v), axis, v))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -492,4 +485,6 @@ def spec_from_json(text: str) -> FunctionSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ExpressionError(f"invalid spec JSON: {e}") from None
+    except RecursionError:
+        raise ExpressionError("invalid spec JSON: nested too deeply to decode") from None
     return spec_from_json_obj(obj)

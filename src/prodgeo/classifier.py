@@ -94,8 +94,8 @@ class SampleGrid:
         if not box:
             raise ParameterViolation("grid box must have at least one axis")
         for lo, hi in box:
-            if not (0.0 < lo < hi) or not math.isfinite(hi):
-                raise ParameterViolation(f"grid bounds must satisfy 0 < lo < hi, got {(lo, hi)!r}")
+            if not (0.0 < lo < hi) or not math.isfinite(hi / lo):
+                raise ParameterViolation(f"grid bounds need 0 < lo < hi and a finite hi / lo, got {(lo, hi)!r}")
             # A jitter draw lo * (hi / lo) ** u above lo is at least lo * (1 + eps)
             # (for a normal lo; below, that rounds back to lo); if that is not
             # below hi, points() would reject draws forever.

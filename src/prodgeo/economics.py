@@ -17,9 +17,11 @@ Allen and Hicks elasticities coincide for two inputs and both equal 1
 for any Cobb-Douglas function, as they must.
 
 Ratios of marginal products presuppose nowhere-zero first partials, so a
-partial below 1e-12 * (1 + |grad f|) raises ZeroMarginalProduct instead
-of returning a huge number; the elasticity denominator and the bordered
-determinant get the same treatment.
+partial below 1e-12 * |grad f| raises ZeroMarginalProduct instead of
+returning a huge number; likewise the elasticity denominator against the
+sum of its terms, and the bordered determinant against the product of
+its row norms.  Like the indicators, no test changes when f is
+multiplied by a constant.
 
 Every indicator also takes a grid jet (see :mod:`prodgeo.jets`) with the
 (n, P) array of its points' coordinates, giving one value per point --
@@ -63,9 +65,14 @@ def _coords(p):
     return p if isinstance(p, np.ndarray) else as_point(p)
 
 
+def zero_marginal(gi: PointValues, gradient_sq: PointValues) -> PointValues:
+    """Whether the first partial ``gi`` counts as zero against |grad f|^2."""
+    return abs(gi) <= ZERO_MARGINAL_RTOL * np.sqrt(gradient_sq)
+
+
 def _marginal(j: SecondOrderJet, i: int) -> PointValues:
     gi = j.gradient[i]
-    zero = abs(gi) <= ZERO_MARGINAL_RTOL * (1.0 + np.sqrt(j.gradient_sq))
+    zero = zero_marginal(gi, j.gradient_sq)
     if j.anywhere(zero):
         first = float(np.asarray(gi)[zero][0])
         raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
@@ -104,7 +111,7 @@ def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
     t_ik = 2.0 * h[i, k] / (gi * gk)
     t_kk = h[k, k] / (gk * gk)
     denominator = -t_ii + t_ik - t_kk
-    degenerate = abs(denominator) <= ZERO_MARGINAL_RTOL * (1.0 + abs(t_ii) + abs(t_ik) + abs(t_kk))
+    degenerate = abs(denominator) <= ZERO_MARGINAL_RTOL * (abs(t_ii) + abs(t_ik) + abs(t_kk))
     if j.anywhere(degenerate):
         raise DegenerateDenominator(
             f"substitution denominator is numerically zero for inputs {i + 1}, {k + 1}"
@@ -136,7 +143,7 @@ def _allen(j: SecondOrderJet, x) -> tuple[list[PointValues], PointValues]:
     b = allen_bordered_matrix(j)
     delta = det_pivoted(b)
     row_norms = np.sqrt(quadratic_form(b.reshape(-1, n + 1))).reshape(b.shape[:-1])
-    singular = abs(delta) <= ZERO_MARGINAL_RTOL * (1.0 + np.prod(row_norms, axis=-1))
+    singular = abs(delta) <= ZERO_MARGINAL_RTOL * np.prod(row_norms, axis=-1)
     if j.anywhere(singular):
         first = float(np.asarray(delta)[singular][0])
         raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({first!r})")

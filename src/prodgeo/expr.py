@@ -43,6 +43,7 @@ __all__ = [
     "product_chain",
     "sum_chain",
     "variables",
+    "check_depth",
     "substitute",
     "eval_expr",
     "eval_value",
@@ -53,6 +54,11 @@ __all__ = [
 # Integer exponents above this bound fall back to the positive-base power
 # rule instead of an absurdly long multiplication chain.
 _MAX_REPEATED_POW = 512
+
+#: The deepest tree accepted, in nodes on a path from the root.  Walks over
+#: a tree recurse once per level, and comparing trees about three times,
+#: so this keeps every walk far below Python's recursion limit of 1,000.
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,20 @@ def sum_chain(terms) -> Expr:
     return acc
 
 
+def check_depth(tree) -> None:
+    """Raise ExpressionError if ``tree``, an Expr or its nested-array form,
+    has more than MAX_DEPTH nodes on a path from the root.  Walks level by
+    level, without recursion, visiting a shared subtree once per level."""
+    nodes = (Expr, list, tuple)
+    level = [tree] if isinstance(tree, nodes) else []
+    for _ in range(MAX_DEPTH):
+        children = (vars(x).values() if isinstance(x, Expr) else x[1:] for x in level)
+        level = list({id(c): c for cs in children for c in cs if isinstance(c, nodes)}.values())
+        if not level:
+            return
+    raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
+
+
 def variables(e: Expr) -> frozenset[int]:
     """Set of variable indices appearing in the tree."""
     match e:
@@ -336,6 +356,11 @@ def eval_value(e: Expr, xs) -> float:
 # Serialization: nested prefix arrays, JSON-compatible
 # ---------------------------------------------------------------------------
 
+_ARITY = {"const": 1, "var": 1, "neg": 1, "exp": 1, "ln": 1, "add": 2, "mul": 2, "div": 2, "pow": 2}
+_NODES = {"neg": Neg, "exp": Exp, "ln": Ln, "add": Add, "mul": Mul, "div": Div}
+_TAGS = {node: tag for tag, node in _NODES.items()}
+
+
 def expr_to_obj(e: Expr):
     """Encode as a nested prefix array, e.g. ``["mul", ["var", 0], ["const", 2.0]]``."""
     match e:
@@ -343,64 +368,37 @@ def expr_to_obj(e: Expr):
             return ["const", c]
         case Var(index=i):
             return ["var", i]
-        case Neg(child=a):
-            return ["neg", expr_to_obj(a)]
-        case Add(left=a, right=b):
-            return ["add", expr_to_obj(a), expr_to_obj(b)]
-        case Mul(left=a, right=b):
-            return ["mul", expr_to_obj(a), expr_to_obj(b)]
-        case Div(left=a, right=b):
-            return ["div", expr_to_obj(a), expr_to_obj(b)]
         case Pow(base=a, exponent=c):
             return ["pow", expr_to_obj(a), c]
-        case Exp(child=a):
-            return ["exp", expr_to_obj(a)]
-        case Ln(child=a):
-            return ["ln", expr_to_obj(a)]
-    raise ExpressionError(f"unknown node {e!r}")
+    if type(e) not in _TAGS:
+        raise ExpressionError(f"unknown node {e!r}")
+    return [_TAGS[type(e)], *map(expr_to_obj, vars(e).values())]
 
 
 def expr_from_obj(obj) -> Expr:
     """Decode a nested prefix array produced by :func:`expr_to_obj`."""
+    check_depth(obj)
+    return _decode(obj)
+
+
+def _decode(obj) -> Expr:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ExpressionError(f"expression node must be a non-empty array, got {obj!r}")
     tag, *args = obj
-
-    def _need(k: int):
-        if len(args) != k:
-            raise ExpressionError(f"node {tag!r} expects {k} argument(s), got {len(args)}")
-
+    if not isinstance(tag, str) or tag not in _ARITY:
+        raise ExpressionError(f"unknown node tag {tag!r}")
+    if len(args) != _ARITY[tag]:
+        raise ExpressionError(f"node {tag!r} expects {_ARITY[tag]} argument(s), got {len(args)}")
     if tag == "const":
-        _need(1)
         if not isinstance(args[0], (int, float)):
             raise ExpressionError(f"const payload must be a number, got {args[0]!r}")
         return Const(float(args[0]))
     if tag == "var":
-        _need(1)
         if not isinstance(args[0], int):
             raise ExpressionError(f"var payload must be an int, got {args[0]!r}")
         return Var(args[0])
-    if tag == "neg":
-        _need(1)
-        return Neg(expr_from_obj(args[0]))
-    if tag == "add":
-        _need(2)
-        return Add(expr_from_obj(args[0]), expr_from_obj(args[1]))
-    if tag == "mul":
-        _need(2)
-        return Mul(expr_from_obj(args[0]), expr_from_obj(args[1]))
-    if tag == "div":
-        _need(2)
-        return Div(expr_from_obj(args[0]), expr_from_obj(args[1]))
     if tag == "pow":
-        _need(2)
         if not isinstance(args[1], (int, float)):
             raise ExpressionError(f"pow exponent must be a number, got {args[1]!r}")
-        return Pow(expr_from_obj(args[0]), float(args[1]))
-    if tag == "exp":
-        _need(1)
-        return Exp(expr_from_obj(args[0]))
-    if tag == "ln":
-        _need(1)
-        return Ln(expr_from_obj(args[0]))
-    raise ExpressionError(f"unknown node tag {tag!r}")
+        return Pow(_decode(args[0]), float(args[1]))
+    return _NODES[tag](*map(_decode, args))

@@ -326,8 +326,9 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
         raise
 
 
-def univariate_jet(e: Expr, x: float) -> tuple[float, float, float]:
-    """(value, first, second derivative) of a one-variable expression.
+def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, PointValues]:
+    """(value, first, second derivative) of a one-variable expression at
+    ``x``, a float, or at each entry of an array of points.
 
     The expression may use any single variable index; that slot is
     seeded with ``x``.
@@ -335,15 +336,13 @@ def univariate_jet(e: Expr, x: float) -> tuple[float, float, float]:
     used = variables(e)
     if len(used) > 1:
         raise ArityMismatch(f"expression uses {len(used)} variables, expected one")
-    if not used:
-        return eval_expr(e, []), 0.0, 0.0
-    idx = next(iter(used))
-    xs: list = [None] * (idx + 1)
-    xs[idx] = Jet2.seed(float(x), 0, 1)
+    xs: list = [None] * (max(used, default=0) + 1)
+    xs[-1] = Jet2.seed(x, 0, 1)
     out = eval_expr(e, xs)
+    shape = np.shape(x)
     if isinstance(out, float):
-        return out, 0.0, 0.0
-    return out.f, float(out.g[0]), float(out.h[0, 0])
+        out = Jet2(np.full(shape, out) if shape else out, np.zeros((1,) + shape), np.zeros((1, 1) + shape))
+    return (out.f, out.g[0], out.h[0, 0]) if shape else (out.f, float(out.g[0]), float(out.h[0, 0]))
 
 
 def fd_oracle(spec: "FunctionSpec", p, h: float = 1e-4) -> SecondOrderJet:

@@ -23,7 +23,8 @@ from prodgeo.errors import (
     ExpressionError,
     ParameterViolation,
 )
-from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr
+from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr, sum_chain
+from prodgeo.jets import propagate, univariate_jet
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,86 @@ def test_validate_region_checks():
         validate(spec, [(0.0, 2.0), (0.5, 2.0)])
     with pytest.raises(ParameterViolation):
         validate(spec, [(2.0, 0.5), (0.5, 2.0)])
+    # hi / lo overflows: the mesh would hold x = inf
+    with pytest.raises(ParameterViolation, match="finite hi / lo"):
+        validate(spec, [(1e-300, 1e300), (0.5, 2.0)])
+
+
+def _per_point_error(spec, coords) -> str:
+    with pytest.raises(DomainViolation) as e:
+        propagate(spec, coords)
+    return str(e.value)
+
+
+def test_validate_reports_evaluation_errors_exactly_at_failing_points():
+    # real power of a negative base where x1 > 1.5
+    spec = FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Var(1))
+    findings = validate(spec, [(0.5, 2.0), (0.5, 2.0)])
+    axis = [0.5 * 4.0 ** (i / 4) for i in range(5)]
+    assert [d.point.coords for d in findings] == [(2.0, x2) for x2 in axis]
+    for d in findings:
+        assert (d.code, d.axis, d.value) == ("evaluation_error", None, None)
+        assert d.message == _per_point_error(spec, d.point.coords)
+
+
+def test_validate_failing_points_in_a_later_block():
+    # 5^6 = 15,625 mesh points, evaluated in blocks of 4,096; x1 varies
+    # slowest, so x1 = 2 (points 12,500 on) fails only in the last block,
+    # which also holds clean points.
+    spec = FunctionSpec(6, sum_chain([Pow(Const(1.5) - Var(0), 0.5)] + [Var(i) for i in range(1, 6)]))
+    findings = validate(spec, [(0.5, 2.0)] * 6)
+    assert len(findings) == 5**5
+    assert all(d.code == "evaluation_error" and d.point[0] == 2.0 for d in findings)
+    for d in findings[:: 5**4]:
+        assert d.message == _per_point_error(spec, d.point.coords)
+
+
+def test_validate_evaluates_a_clean_mesh_once_per_block(monkeypatch):
+    import prodgeo.catalog
+
+    calls = []
+
+    def counting(spec, coords):
+        calls.append(np.shape(coords))
+        return propagate(spec, coords)
+
+    monkeypatch.setattr(prodgeo.catalog, "propagate", counting)
+    spec = build_family("cobb_douglas", {"A": 1.0, "k": [0.1] * 6})
+    assert validate(spec, [(0.5, 2.0)] * 6) == []
+    assert calls == [(6, 4096)] * 3 + [(6, 15_625 - 3 * 4096)]
+
+
+def test_validate_inner_failure_is_a_body_failure():
+    # The body is outer(g1 * g2) node for node, so where g1 fails the body
+    # fails with the same message, and nothing else is reported there.
+    inner = Pow(Const(1.5) - Var(0), 0.5)
+    spec = build_quasi_product(Var(0), [inner, Var(0)])
+    findings = validate(spec, [(0.5, 2.0), (0.5, 2.0)])
+    failing = [d for d in findings if d.point[0] > 1.5]
+    assert len(failing) == 5
+    for d in failing:
+        assert (d.code, d.axis) == ("evaluation_error", None)
+        with pytest.raises(DomainViolation) as e:
+            univariate_jet(inner, d.point[0])
+        assert d.message == str(e.value)
+
+
+def test_validate_flags_non_finite_outputs_and_partials():
+    # A * A - A * A with A = exp(700 x1): inf - inf where A * A overflows
+    a = Exp(Mul(Const(700.0), Var(0)))
+    spec = FunctionSpec(2, Var(1) + (a * a - a * a))
+    findings = [d for d in validate(spec, [(0.5, 2.0), (0.5, 2.0)]) if d.point == Point((1.0, 1.0))]
+    assert [(d.code, d.axis) for d in findings] == [
+        ("nonpositive_output", None),
+        ("zero_partial", 0),  # NaN
+        ("zero_partial", 1),  # 1.0, flagged because |grad f| is not finite
+    ]
+    assert math.isnan(findings[1].value) and findings[2].value == 1.0
+
+
+def test_validate_zero_partial_is_scale_free():
+    findings = validate(build_family("cobb_douglas", {"A": 1e-13, "k": [0.4, 0.6]}), [(0.5, 2.0)] * 2)
+    assert [d for d in findings if d.code == "zero_partial"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def test_grid_rejects_subnormal_bound():
         SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1)
 
 
+def test_grid_rejects_box_whose_ratio_overflows():
+    # hi / lo = inf would put x = inf into the mesh
+    with pytest.raises(ParameterViolation, match="finite hi / lo"):
+        SampleGrid(box=((1e-300, 1e300), (1.0, 2.0)))
+    SampleGrid(box=((1e-300, 1e7), (1.0, 2.0))).points()
+
+
 def test_default_grid_shape():
     assert default_grid(2).points_per_axis == 7
     assert default_grid(3).points_per_axis == 7

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from prodgeo.cli import main
+from prodgeo.errors import ExpressionError
 
 
 def run(capsys, *argv):
@@ -77,6 +78,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "5e-324:1e-323"
     )
     assert rc == 2 and "smallest normal" in err
+    rc, _, err = run(
+        capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "1e-300:1e300"
+    )
+    assert rc == 2 and "finite hi / lo" in err
 
 
 @pytest.mark.parametrize(
@@ -250,3 +255,80 @@ def test_verify_json_csv_consistency(capsys):
         assert cells[0] == res["fixture"]
         assert cells[3] == ("true" if res["passed"] else "false")
         assert cells[4] == repr(res["observed"])
+
+
+@pytest.mark.parametrize("scale", ["1e-13", "1e-9", "1e13"])
+def test_zero_tests_do_not_depend_on_the_scale_of_f(capsys, scale):
+    # Multiplying f by A changes no elasticity, so no zero test may either.
+    params = f"A={scale},k=0.4:0.6"
+    rc, out, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", params)
+    assert (rc, err) == (0, "")
+    assert {p["name"]: p["holds"] for p in json.loads(out)["properties"]}["ces"] is True
+    rc, out, err = run(capsys, "analyze", "--family", "cobb_douglas", "--params", params)
+    assert (rc, err) == (0, "")
+    for row in json.loads(out)["rows"]:
+        assert abs(row["hicks"]["1_2"] - 1.0) <= 1e-9
+        assert abs(row["allen"]["1_2"] - 1.0) <= 1e-9
+        assert row["elasticity"] == pytest.approx({"x1": 0.4, "x2": 0.6}, abs=1e-15)
+
+
+def _nested_adds(leaf, depth):
+    """A document tree ``depth`` nodes deep: ``leaf`` under depth - 1 adds."""
+    for _ in range(depth - 1):
+        leaf = ["add", leaf, ["const", 1.0]]
+    return leaf
+
+
+def _composite_doc(outer_depth):
+    """(x1 x2 + 1 + ... + 1): an outer of ``outer_depth`` nodes over the
+    product of two identity inners; the body is one level deeper."""
+    return {
+        "n": 2,
+        "family": "quasi_product",
+        "body": _nested_adds(["mul", ["var", 0], ["var", 1]], outer_depth),
+        "outer": _nested_adds(["var", 0], outer_depth),
+        "inners": [["var", 0], ["var", 1]],
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(_composite_doc(331)), "expression is deeper than 200 levels"),
+        # too deep for the JSON decoder itself
+        (
+            '{"n": 2, "family": "custom", "body": ' + '["add", ' * 3000 + '["var", 0]' + ', ["const", 1.0]]' * 3000 + "}",
+            "invalid spec JSON: nested too deeply to decode",
+        ),
+    ],
+    ids=["composite_outer_331", "custom_3000"],
+)
+def test_too_deep_spec_document_exits_2(capsys, monkeypatch, text, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, "analyze", "--spec", "-")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "family": "custom", "body": ["mul", ["var", 0], _nested_adds(["var", 1], 199)]},
+        _composite_doc(199),
+    ],
+    ids=["custom", "composite"],
+)
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_spec_document_at_the_depth_bound(capsys, monkeypatch, doc, command):
+    import io
+
+    from prodgeo.expr import check_depth
+
+    # the body is exactly at the bound: one more level is rejected
+    check_depth(doc["body"])
+    with pytest.raises(ExpressionError):
+        check_depth(["neg", doc["body"]])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc, out, err = run(capsys, command, "--spec", "-", "--points-per-axis", "2")
+    assert (rc, err) == (0, "")

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from prodgeo.catalog import FunctionSpec, build_quasi_product
 from prodgeo.errors import DomainViolation, ExpressionError
 from prodgeo.expr import (
+    MAX_DEPTH,
     Add,
     Const,
     Div,
@@ -16,12 +18,14 @@ from prodgeo.expr import (
     Neg,
     Pow,
     Var,
+    check_depth,
     eval_expr,
     eval_value,
     expr_from_obj,
     expr_to_obj,
     product_chain,
     substitute,
+    sum_chain,
     variables,
 )
 
@@ -119,3 +123,23 @@ def test_serialization_rejects_malformed_nodes():
 def test_product_chain_left_associates():
     xs = [Var(0), Var(1), Var(2)]
     assert product_chain(xs) == Mul(Mul(Var(0), Var(1)), Var(2))
+
+
+def test_depth_bound_is_checked_without_recursion():
+    deep = sum_chain([Var(0)] * 1500)
+    for make in (
+        lambda: FunctionSpec(2, deep * Var(1)),
+        lambda: build_quasi_product(deep, [Var(0), Var(0)]),
+        lambda: expr_from_obj(json.loads('["neg", ' * 500 + '["var", 0]' + "]" * 500)),
+    ):
+        with pytest.raises(ExpressionError, match="deeper than 200"):
+            make()
+    # a subtree shared by both operands at every level: 2^100 paths,
+    # checked level by level
+    shared = Var(0)
+    for _ in range(100):
+        shared = shared + shared
+    check_depth(shared)
+    check_depth(sum_chain([Var(0)] * MAX_DEPTH))
+    with pytest.raises(ExpressionError):
+        check_depth(sum_chain([Var(0)] * (MAX_DEPTH + 1)))
