@@ -83,10 +83,11 @@ FAMILIES = frozenset(
     }
 )
 
-# Points sampled per axis by validate(), the cap on its mesh, and the
-# points it evaluates at once, which bounds its memory.
+# Points sampled per axis by validate(), the cap on its mesh and on a
+# SampleGrid, and the points validate() evaluates at once, which bounds
+# its memory.
 _VALIDATE_POINTS_PER_AXIS = 5
-_VALIDATE_MAX_POINTS = 100_000
+MAX_GRID_POINTS = 100_000
 _VALIDATE_BLOCK = 4096
 
 
@@ -249,19 +250,25 @@ def build_family(family: str, params: dict) -> FunctionSpec:
     Raises ParameterViolation naming the violated constraint.
     """
     if family in _BUILDERS:
-        return _BUILDERS[family](dict(params))
-    if family == "product":
+        spec = _BUILDERS[family](dict(params))
+        known = spec.params  # a builder's record names every parameter it reads
+    elif family == "product":
         inners = params.get("inners")
         if inners is None:
             raise ParameterViolation("product: missing parameter 'inners'")
-        return build_quasi_product(Var(0), inners, family="product")
-    if family == "quasi_product":
+        spec, known = build_quasi_product(Var(0), inners, family="product"), ("inners",)
+    elif family == "quasi_product":
         outer = params.get("outer")
         inners = params.get("inners")
         if outer is None or inners is None:
             raise ParameterViolation("quasi_product: need parameters 'outer' and 'inners'")
-        return build_quasi_product(outer, inners)
-    raise ParameterViolation(f"unknown family {family!r}")
+        spec, known = build_quasi_product(outer, inners), ("outer", "inners")
+    else:
+        raise ParameterViolation(f"unknown family {family!r}")
+    unknown = [key for key in params if key not in known]
+    if unknown:
+        raise ParameterViolation(f"{family}: unknown parameter {', '.join(map(repr, unknown))}")
+    return spec
 
 
 def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> FunctionSpec:
@@ -350,7 +357,7 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
             raise ParameterViolation(f"region bounds need 0 < lo < hi and a finite hi / lo, got {(lo, hi)!r}")
 
     axes = [_axis_samples(lo, hi, _VALIDATE_POINTS_PER_AXIS) for lo, hi in region]
-    mesh = itertools.islice(itertools.product(*axes), _VALIDATE_MAX_POINTS)
+    mesh = itertools.islice(itertools.product(*axes), MAX_GRID_POINTS)
     findings: list[Diagnostic] = []
     while block := list(itertools.islice(mesh, _VALIDATE_BLOCK)):
         coords = np.array(block).T

@@ -27,7 +27,6 @@ inputs produce bit-identical verdicts, and grid generation is fixed by
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import FunctionSpec, build_family, build_quasi_product
+from .catalog import MAX_GRID_POINTS, FunctionSpec, build_family, build_quasi_product
 from .economics import substitution_values
-from .errors import ParameterViolation, ProdGeoError, rerun_per_point
+from .errors import ParameterViolation
 from .expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from .geometry import (
     canonical_riemann_quads,
@@ -50,7 +49,7 @@ from .geometry import (
 )
 from .jets import SecondOrderJet, grid_jet
 from .linalg import ordered_pairs, pairs, quadratic_form
-from .points import Point
+from .points import Point, grid_stage
 
 __all__ = [
     "SampleGrid",
@@ -79,8 +78,8 @@ class SampleGrid:
 
     The mesh places ``points_per_axis`` log-midpoints per axis (strictly
     inside the box) and appends ``jitter_points`` seeded log-uniform
-    random points.  Generation is a pure function of
-    (box, points_per_axis, seed, jitter_points).
+    random points, at most MAX_GRID_POINTS in all.  Generation is a pure
+    function of (box, points_per_axis, seed, jitter_points).
     """
 
     box: tuple[tuple[float, float], ...]
@@ -98,46 +97,55 @@ class SampleGrid:
                 raise ParameterViolation(f"grid bounds need 0 < lo < hi and a finite hi / lo, got {(lo, hi)!r}")
             # A jitter draw lo * (hi / lo) ** u above lo is at least lo * (1 + eps)
             # (for a normal lo; below, that rounds back to lo); if that is not
-            # below hi, points() would reject draws forever.
+            # below hi, coords() would reject draws forever.
             if lo < sys.float_info.min:
                 raise ParameterViolation(f"grid bound {lo!r} is below the smallest normal float")
             if not lo * (1.0 + sys.float_info.epsilon) < hi:
                 raise ParameterViolation(f"grid axis {(lo, hi)!r} is too narrow to sample")
-        if self.points_per_axis < 2:
-            raise ParameterViolation("points_per_axis must be at least 2")
-        if self.jitter_points < 0:
-            raise ParameterViolation("jitter_points must be non-negative")
+        for name, least in (("points_per_axis", 2), ("seed", 0), ("jitter_points", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterViolation(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ParameterViolation(f"{name} must be at least {least}")
+        # coords() allocates the whole grid at once.
+        size = int(self.points_per_axis) ** self.n + int(self.jitter_points)
+        if size > MAX_GRID_POINTS:
+            raise ParameterViolation(f"grid has {size} points, more than the cap of {MAX_GRID_POINTS}")
 
     @property
     def n(self) -> int:
         return len(self.box)
 
-    def points(self) -> list[Point]:
-        axes = []
-        for lo, hi in self.box:
-            ratio = hi / lo
-            k = self.points_per_axis
-            axes.append([lo * ratio ** ((i + 0.5) / k) for i in range(k)])
-        pts = [Point(coords) for coords in itertools.product(*axes)]
+    def coords(self) -> np.ndarray:
+        """The (n, P) coordinates of the grid: the mesh in product order
+        (the last axis varies fastest), then the jitter points."""
+        k = self.points_per_axis
+        axes = [[lo * (hi / lo) ** ((i + 0.5) / k) for i in range(k)] for lo, hi in self.box]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(self.n, -1)
+        lows, highs = np.array(self.box).T
         rng = np.random.default_rng(self.seed)
-        lows = np.array([lo for lo, _ in self.box])
-        ratios = np.array([hi / lo for lo, hi in self.box])
-        for _ in range(self.jitter_points):
-            while True:
-                coords = lows * ratios ** rng.random(self.n)
-                if all(lo < c < hi for c, (lo, hi) in zip(coords, self.box)):
-                    break
-            pts.append(Point(tuple(coords)))
-        return pts
+        # A draw on the boundary is dropped and the next n numbers of the
+        # stream drawn in its place; a batch of draws consumes the stream
+        # in the same order as one draw at a time.
+        jitter = np.empty((0, self.n))
+        while len(jitter) < self.jitter_points:
+            draws = lows * (highs / lows) ** rng.random((self.jitter_points - len(jitter), self.n))
+            jitter = np.concatenate([jitter, draws[((lows < draws) & (draws < highs)).all(axis=1)]])
+        return np.concatenate([mesh, jitter.T], axis=1)
+
+    def points(self) -> list[Point]:
+        return [Point(c) for c in self.coords().T.tolist()]
 
 
-def default_grid(n: int, seed: int = 0) -> SampleGrid:
+def default_grid(n: int, seed: int = 0, box=None, points_per_axis: Optional[int] = None) -> SampleGrid:
     """The default verification grid: box [0.5, 2]^n, 7 points per axis
-    up to three inputs and 4 beyond, 32 jitter points.  Stays away from
-    the origin, where logarithmic forms change sign."""
+    up to three inputs and 4 beyond, 32 jitter points; a ``box`` or
+    ``points_per_axis`` given replaces its default.  Stays away from the
+    origin, where logarithmic forms change sign."""
     return SampleGrid(
-        box=((0.5, 2.0),) * n,
-        points_per_axis=7 if n <= 3 else 4,
+        box=box if box is not None else ((0.5, 2.0),) * n,
+        points_per_axis=points_per_axis if points_per_axis is not None else 7 if n <= 3 else 4,
         seed=seed,
     )
 
@@ -159,6 +167,8 @@ class TolerancePolicy:
         for name in ("zero_abs", "zero_rel", "constancy_rel"):
             if getattr(self, name) <= 0.0:
                 raise ParameterViolation(f"{name} must be positive")
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterViolation(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +225,16 @@ class ClassificationVerdict:
         }
 
 
-def grid_points(spec: FunctionSpec, grid: SampleGrid) -> tuple[list[Point], np.ndarray]:
-    """The grid's points and their (n, P) coordinates, for ``spec``."""
+def grid_points(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
+    """The grid's (n, P) coordinates, for ``spec``."""
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
-    points = grid.points()
-    return points, np.array([p.coords for p in points]).T.copy()
+    return grid.coords()
+
+
+def _witness(coords: np.ndarray, k: Optional[int]) -> Optional[Point]:
+    """Point ``k`` of the (n, P) ``coords``, or None for no witness."""
+    return None if k is None else Point(tuple(coords[:, k].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +249,18 @@ def grid_points(spec: FunctionSpec, grid: SampleGrid) -> tuple[list[Point], np.n
 # points would have stopped at a failing point before reaching later
 # ones, and a failure re-runs one point at a time with warnings on.
 
-def _largest(a: np.ndarray, points: list[Point]) -> tuple[float, Optional[Point]]:
-    """The largest entry of the (P, m) array ``a`` and its first point."""
+def _largest(a: np.ndarray) -> tuple[float, Optional[int]]:
+    """The largest entry of the (P, m) array ``a`` and its first point's index."""
     per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
     k = int(np.argmax(per_point))
-    return (float(per_point[k]), points[k]) if per_point[k] > -np.inf else (-math.inf, None)
+    return (float(per_point[k]), k) if per_point[k] > -np.inf else (-math.inf, None)
 
 
-def _smallest(a: np.ndarray, points: list[Point]) -> tuple[float, Optional[Point]]:
-    """The smallest entry of the (P, m) array ``a`` and its first point."""
+def _smallest(a: np.ndarray) -> tuple[float, Optional[int]]:
+    """The smallest entry of the (P, m) array ``a`` and its first point's index."""
     per_point = np.where(np.isnan(a), np.inf, a).min(axis=1, initial=np.inf)
     k = int(np.argmin(per_point))
-    return (float(per_point[k]), points[k]) if per_point[k] < np.inf else (math.inf, None)
+    return (float(per_point[k]), k) if per_point[k] < np.inf else (math.inf, None)
 
 
 def _noise(a: np.ndarray) -> float:
@@ -256,11 +270,11 @@ def _noise(a: np.ndarray) -> float:
 
 @np.errstate(all="ignore")
 def _curvature_stats(
-    points: list[Point], jets: SecondOrderJet, tol: TolerancePolicy
-) -> dict[str, tuple[float, Optional[Point], float]]:
+    jets: SecondOrderJet, tol: TolerancePolicy
+) -> dict[str, tuple[float, Optional[int], float]]:
     """Every curvature check over the grid, in one pass.
 
-    Maps each check of CHECKS to its observed value, witness point and
+    Maps each check of CHECKS to its observed value, witness index and
     bound: the maximum of |quantity| against its noise-scaled zero
     threshold for the vanishing checks, and for the two negative
     controls the minimum of |K| and of each point's largest |Riemann
@@ -292,30 +306,29 @@ def _curvature_stats(
     r_bound = tol.zero_abs + tol.zero_rel * _noise(r_noise)
     pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
     return {
-        "vanishing_gk": (*_largest(abs_k, points), k_bound),
-        "flat": (*_largest(abs_r, points), r_bound),
-        "minimal": (*_largest(abs_h, points), tol.zero_abs + tol.zero_rel * _noise(h_noise)),
-        "vanishing_sectional": (*_largest(abs_s, points), tol.zero_abs + tol.zero_rel * _noise(s_noise)),
-        "nonvanishing_gk": (*_smallest(abs_k, points), 10.0 * k_bound),
-        "nonflat_everywhere": (*_smallest(pointwise_max_r, points), 10.0 * r_bound),
+        "vanishing_gk": (*_largest(abs_k), k_bound),
+        "flat": (*_largest(abs_r), r_bound),
+        "minimal": (*_largest(abs_h), tol.zero_abs + tol.zero_rel * _noise(h_noise)),
+        "vanishing_sectional": (*_largest(abs_s), tol.zero_abs + tol.zero_rel * _noise(s_noise)),
+        "nonvanishing_gk": (*_smallest(abs_k), 10.0 * k_bound),
+        "nonflat_everywhere": (*_smallest(pointwise_max_r), 10.0 * r_bound),
     }
 
 
 def _substitution_stats(
-    points: list[Point], coords: np.ndarray, jets: SecondOrderJet
+    coords: np.ndarray, jets: SecondOrderJet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output elasticities (P, n), |proportional-MRS deviations| (P, n(n-1))
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
-    try:
-        with np.errstate(all="ignore"):
-            elasticities, mrs_ik, hicks = substitution_values(jets, coords)
-            hicks = list(hicks)
-            # proportional MRS means MRS_ik == x_i / x_k
-            mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
-    except ProdGeoError:
-        rerun_per_point(points, lambda k, p: list(substitution_values(jets.at(k), p)[2]))
-        raise
-    return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
+
+    def at_once():
+        elasticities, mrs_ik, hicks = substitution_values(jets, coords)
+        hicks = list(hicks)
+        # proportional MRS means MRS_ik == x_i / x_k
+        mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
+        return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
+
+    return grid_stage(coords, at_once, lambda k, p: list(substitution_values(jets.at(k), p)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +336,7 @@ def _substitution_stats(
 # ---------------------------------------------------------------------------
 
 def _constancy_verdict(
-    name: str, values: np.ndarray, points: list[Point], tol: TolerancePolicy
+    name: str, values: np.ndarray, coords: np.ndarray, tol: TolerancePolicy
 ) -> PropertyVerdict:
     """Verdict on the (P, m) ``values`` being constant over the grid; the
     witness is the first point of largest deviation from the mean."""
@@ -339,7 +352,7 @@ def _constancy_verdict(
     return PropertyVerdict(
         name=name,
         holds=bool(observed <= threshold),
-        worst_point=points[worst // values.shape[1]],
+        worst_point=_witness(coords, worst // values.shape[1]),
         worst_value=float(observed),
         threshold_used=float(threshold),
         estimate=float(mean),
@@ -353,19 +366,19 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     evaluation errors propagate with the offending point attached.
     """
     tol = tol or TolerancePolicy()
-    points, coords = grid_points(spec, grid)
+    coords = grid_points(spec, grid)
     jets = grid_jet(spec, coords)
     # Substitution first, so that an evaluation error at any point is
     # reported rather than a curvature overflow at a later one.
-    elasticities, mrs_dev, hicks = _substitution_stats(points, coords, jets)
-    curvature = _curvature_stats(points, jets, tol)
+    elasticities, mrs_dev, hicks = _substitution_stats(coords, jets)
+    curvature = _curvature_stats(jets, tol)
     bounded = {name: curvature[name] for name in ("vanishing_gk", "flat", "minimal", "vanishing_sectional")}
-    bounded["proportional_mrs"] = (*_largest(mrs_dev, points), tol.constancy_rel)
+    bounded["proportional_mrs"] = (*_largest(mrs_dev), tol.constancy_rel)
     properties = [
         PropertyVerdict(
             name=name,
             holds=bool(observed <= threshold),
-            worst_point=witness,
+            worst_point=_witness(coords, witness),
             worst_value=float(observed),
             threshold_used=float(threshold),
         )
@@ -373,9 +386,9 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     ]
     for i in range(spec.n):
         properties.append(
-            _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], points, tol)
+            _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], coords, tol)
         )
-    properties.append(_constancy_verdict("ces", hicks, points, tol))
+    properties.append(_constancy_verdict("ces", hicks, coords, tol))
     return ClassificationVerdict(family=spec.family, n=spec.n, properties=tuple(properties))
 
 
@@ -383,8 +396,8 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    points, coords = grid_points(spec, grid)
-    _, _, hicks = _substitution_stats(points, coords, grid_jet(spec, coords))
+    coords = grid_points(spec, grid)
+    _, _, hicks = _substitution_stats(coords, grid_jet(spec, coords))
     values = hicks.ravel().tolist()
     return sum(values) / len(values), max(values) - min(values)
 
@@ -565,7 +578,7 @@ def catalog_fixtures() -> list[CatalogFixture]:
 
 
 def _run_check(
-    fx: CatalogFixture, check: str, curvature: dict[str, tuple[float, Optional[Point], float]]
+    fx: CatalogFixture, check: str, curvature: dict[str, tuple[float, Optional[int], float]], coords: np.ndarray
 ) -> ExpectationResult:
     if check not in CHECKS:
         raise ParameterViolation(f"unknown check {check!r}")
@@ -578,7 +591,7 @@ def _run_check(
         passed=bool(passed),
         observed=float(observed),
         bound=float(bound),
-        witness=witness,
+        witness=_witness(coords, witness),
     )
 
 
@@ -588,8 +601,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tol = tol or TolerancePolicy()
     results = []
     for fx in catalog_fixtures():
-        points, coords = grid_points(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
-        curvature = _curvature_stats(points, grid_jet(fx.spec, coords), tol)
+        coords = grid_points(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
+        curvature = _curvature_stats(grid_jet(fx.spec, coords), tol)
         for check in fx.checks:
-            results.append(_run_check(fx, check, curvature))
+            results.append(_run_check(fx, check, curvature, coords))
     return CatalogReport(tuple(results))

@@ -37,7 +37,7 @@ from .classifier import (
     verify_catalog,
 )
 from .errors import EVALUATION_ERRORS, INPUT_ERRORS
-from .reports import grid_reports, report_header, report_json_obj, report_row
+from .reports import report_header, report_record, report_table
 
 __all__ = ["main"]
 
@@ -162,20 +162,13 @@ def _parse_box(text: str, n: int) -> tuple[tuple[float, float], ...]:
 
 
 def _make_grid(args, n: int) -> SampleGrid:
-    base = default_grid(n, seed=args.seed)
-    box = _parse_box(args.box, n) if args.box else base.box
-    ppa = args.points_per_axis if args.points_per_axis is not None else base.points_per_axis
-    return SampleGrid(box=box, points_per_axis=ppa, seed=args.seed)
+    box = _parse_box(args.box, n) if args.box else None
+    return default_grid(n, seed=args.seed, box=box, points_per_axis=args.points_per_axis)
 
 
 def _make_tolerances(args) -> TolerancePolicy:
-    base = TolerancePolicy()
-    zero = args.tol_zero if args.tol_zero is not None else None
-    return TolerancePolicy(
-        zero_abs=zero if zero is not None else base.zero_abs,
-        zero_rel=zero if zero is not None else base.zero_rel,
-        constancy_rel=args.tol_const if args.tol_const is not None else base.constancy_rel,
-    )
+    given = {"zero_abs": args.tol_zero, "zero_rel": args.tol_zero, "constancy_rel": args.tol_const}
+    return TolerancePolicy(**{name: v for name, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +200,22 @@ def _write(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _render_analyze(spec, reports, fmt: str) -> str:
+def _render_analyze(spec, table, fmt: str) -> str:
+    """The (P, m) ``report_table`` as CSV, or as the JSON document that
+    json.dumps(indent=2) gives for one record per row."""
     if fmt == "csv":
-        return _csv_lines(report_header(spec.n), [report_row(r) for r in reports])
-    doc = {
-        "schema_version": "1",
-        "command": "analyze",
-        "family": spec.family,
-        "n": spec.n,
-        "rows": [report_json_obj(r) for r in reports],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        return _csv_lines(report_header(spec.n), table.tolist())
+    # The layout comes from json.dumps of the document with a slot for its
+    # rows and of one record with a slot for each cell, and the cells are
+    # json's own renderings; no key or value of the document renders as a slot.
+    slot = json.dumps("\0")
+    doc = {"schema_version": "1", "command": "analyze", "family": spec.family, "n": spec.n, "rows": ["\0"]}
+    head, _, tail = json.dumps(doc, indent=2).rpartition(slot)
+    indent = head[head.rindex("\n"):]
+    record = json.dumps(report_record(spec.n, ["\0"] * table.shape[1]), indent=2)
+    template = record.replace("\n", indent).replace("%", "%%").replace(slot, "%s")
+    rows = json.dumps(table.tolist())[2:-2].split("], [")
+    return head + ("," + indent).join(template % tuple(row.split(", ")) for row in rows) + tail + "\n"
 
 
 def _render_classify(verdict: ClassificationVerdict, fmt: str) -> str:
@@ -254,8 +252,8 @@ def _render_verify(report, fmt: str) -> str:
 
 def _cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    reports = grid_reports(spec, _make_grid(args, spec.n))
-    _write(_render_analyze(spec, reports, args.format), args.out)
+    table = report_table(spec, _make_grid(args, spec.n))
+    _write(_render_analyze(spec, table, args.format), args.out)
     return 0
 
 

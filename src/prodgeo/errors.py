@@ -16,20 +16,6 @@ class ProdGeoError(Exception):
         self.point = point
 
 
-def rerun_per_point(points, run) -> None:
-    """After a grid stage failed, ``run(k, point)`` at each point in grid
-    order: the first ProdGeoError propagates, naming its point if it
-    names none."""
-    for k, point in enumerate(points):
-        try:
-            run(k, point)
-        except ProdGeoError as e:
-            if e.point is None:
-                e.point = point
-                e.args = (f"{e.args[0]} at point {tuple(point.coords)}",) + e.args[1:]
-            raise
-
-
 class ExpressionError(ProdGeoError):
     """Malformed expression tree or unparseable serialized form."""
 

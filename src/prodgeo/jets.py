@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain, rerun_per_point
+from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from .expr import Expr, eval_expr, eval_value, variables
 from .linalg import quadratic_form
-from .points import as_point
+from .points import as_point, grid_stage
 
 if TYPE_CHECKING:
     from .catalog import FunctionSpec
@@ -317,13 +317,8 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
     """
     if coords.shape[0] != spec.n:
         raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
-    try:
-        # Points that fail a check carry inf or NaN onward until it raises.
-        with np.errstate(all="ignore"):
-            return _checked(propagate(spec, coords))
-    except DomainViolation:
-        rerun_per_point([as_point(x) for x in coords.T], lambda _, p: jet(spec, p))
-        raise
+    # Points that fail a check carry inf or NaN onward until it raises.
+    return grid_stage(coords, lambda: _checked(propagate(spec, coords)), lambda _, p: jet(spec, p))
 
 
 def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, PointValues]:

@@ -1,7 +1,7 @@
-"""Per-point analysis reports, with flat renderings for CSV and JSON
-output.  One field builder applies the geometry and economics formulas
-to a one-point jet or to a grid jet, so a grid's reports equal the
-reports of its points bit for bit.
+"""Per-point analysis reports, and a grid's reports as one table for CSV
+and JSON output.  One field builder applies the geometry and economics
+formulas to a one-point jet or to a grid jet, so a grid's reports equal
+the reports of its points bit for bit.
 
 Index labels in rendered output are 1-based (x1, x2, ...) to read
 naturally; the in-process API stays 0-based.
@@ -9,6 +9,7 @@ naturally; the in-process API stays 0-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,12 @@ import numpy as np
 from .catalog import FunctionSpec, as_point
 from .classifier import SampleGrid, grid_points
 from .economics import substitution_fields
-from .errors import ProdGeoError, rerun_per_point
 from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
 from .jets import SecondOrderJet, grid_jet, jet
 from .linalg import ordered_pairs, pairs, symmetric_matrix
-from .points import Point
+from .points import Point, grid_stage
 
-__all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_header", "report_row", "report_json_obj"]
+__all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_table", "report_record", "report_header"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,59 +67,58 @@ def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
     return GeometryReport(point=point, **_fields(jet(spec, point), point))
 
 
-def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
-    """``geometry_report`` at every point of the grid, evaluated at once.
+def _grid_fields(spec: FunctionSpec, grid: SampleGrid) -> tuple[np.ndarray, dict]:
+    """The grid's (n, P) coordinates and the fields of its reports,
+    evaluated at once; a failure raises as at the first failing point."""
+    coords = grid_points(spec, grid)
+    fields = grid_stage(coords, lambda: _fields(grid_jet(spec, coords), coords), lambda _, p: geometry_report(spec, p))
+    return coords, fields
 
-    When any point fails, the points are re-run one at a time in grid
-    order, so the first failing point raises, its error naming it.
-    """
-    points, coords = grid_points(spec, grid)
-    try:
-        # Warnings are off: a loop over the points would stop at the first failing one.
-        with np.errstate(all="ignore"):
-            fields = _fields(grid_jet(spec, coords), coords)
-    except ProdGeoError:
-        rerun_per_point(points, lambda _, p: geometry_report(spec, p))
-        raise
+
+def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
+    """``geometry_report`` at every point of the grid, evaluated at once."""
+    coords, fields = _grid_fields(spec, grid)
     return [
-        GeometryReport(point=p, **{name: v[k] if v.ndim > 1 else float(v[k]) for name, v in fields.items()})
-        for k, p in enumerate(points)
+        GeometryReport(point=Point(tuple(c)), **{name: v[k] if v.ndim > 1 else float(v[k]) for name, v in fields.items()})
+        for k, c in enumerate(coords.T.tolist())
     ]
 
 
-def report_header(n: int) -> list[str]:
-    cols = [f"x{i + 1}" for i in range(n)]
-    cols += ["f", "w", "gauss_kronecker", "mean_curvature"]
-    cols += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs(n)]
-    cols += [f"elasticity_x{i + 1}" for i in range(n)]
-    cols += [f"mrs_{i + 1}_{k + 1}" for i, k in ordered_pairs(n)]
-    cols += [f"hicks_{i + 1}_{k + 1}" for i, k in pairs(n)]
-    cols += [f"allen_{i + 1}_{k + 1}" for i, k in pairs(n)]
-    cols += ["allen_determinant"]
-    return cols
+def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
+    """The reports of ``grid_reports`` as one (P, m) array, one row per
+    point and one column per name of ``report_header``."""
+    coords, f = _grid_fields(spec, grid)
+    i, k = np.array(pairs(spec.n)).T
+    oi, ok = np.array(ordered_pairs(spec.n)).T
+    return np.column_stack([
+        coords.T, f["value"], f["slope"], f["gauss_kronecker"], f["mean_curvature"], f["sectional"][:, i, k],
+        f["elasticities"], f["mrs"][:, oi, ok], f["hicks"][:, i, k], f["allen"][:, i, k], f["allen_determinant"],
+    ])
 
 
-def report_row(r: GeometryReport) -> list[float]:
-    """The values of ``report_json_obj``, flattened in the order of
-    ``report_header``."""
-    row = []
-    for v in report_json_obj(r).values():
-        row += v if isinstance(v, list) else list(v.values()) if isinstance(v, dict) else [v]
-    return row
-
-
-def report_json_obj(r: GeometryReport) -> dict:
-    n = r.n
-    return {
-        "point": list(r.point.coords),
-        "f": r.value,
-        "w": r.slope,
-        "gauss_kronecker": r.gauss_kronecker,
-        "mean_curvature": r.mean_curvature,
-        "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs(n)},
-        "elasticity": {f"x{i + 1}": float(v) for i, v in enumerate(r.elasticities)},
-        "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in ordered_pairs(n)},
-        "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs(n)},
-        "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs(n)},
-        "allen_determinant": r.allen_determinant,
+def report_record(n: int, cells) -> dict:
+    """One report as nested in JSON output, holding ``cells`` in the
+    order of ``report_header``."""
+    it = iter(cells)
+    pair_labels = [f"{i + 1}_{k + 1}" for i, k in pairs(n)]
+    groups = {
+        "sectional": pair_labels,
+        "elasticity": [f"x{i + 1}" for i in range(n)],
+        "mrs": [f"{i + 1}_{k + 1}" for i, k in ordered_pairs(n)],
+        "hicks": pair_labels,
+        "allen": pair_labels,
     }
+    record = {"point": [next(it) for _ in range(n)]}
+    record.update((key, next(it)) for key in ("f", "w", "gauss_kronecker", "mean_curvature"))
+    record.update((key, {label: next(it) for label in labels}) for key, labels in groups.items())
+    record["allen_determinant"] = next(it)
+    return record
+
+
+def report_header(n: int) -> list[str]:
+    """The column names of ``report_table``: x1.. for the point, then each
+    record key, joined to the label of each cell in a group."""
+    names = [f"x{i + 1}" for i in range(n)]
+    for key, v in list(report_record(n, itertools.repeat(None)).items())[1:]:
+        names += [f"{key}_{label}" for label in v] if isinstance(v, dict) else [key]
+    return names

@@ -74,6 +74,17 @@ def test_parameter_constraints():
         build_family("unknown_family", {})
 
 
+def test_unknown_parameter_names_are_rejected():
+    with pytest.raises(ParameterViolation, match="cobb_douglas: unknown parameter 'zzz'"):
+        build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6), "zzz": 3.0})
+    with pytest.raises(ParameterViolation, match="product: unknown parameter 'outer'"):
+        build_family("product", {"inners": (Var(0), Var(0)), "outer": Var(0)})
+    # the documents spec_to_json writes carry only the known names
+    spec = build_family("acms", {"A": 1.0, "k": (1.0, 0.5), "rho": 2.0, "gamma": 1.0})
+    again = spec_from_json(spec_to_json(spec))
+    assert build_family(again.family, again.params) == spec
+
+
 def test_evaluate_requires_positive_orthant():
     spec = build_family("cobb_douglas", {"A": 1.0, "k": [0.5, 0.5]})
     with pytest.raises(DomainViolation):

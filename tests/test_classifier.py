@@ -1,7 +1,9 @@
 """Sample grids, classification verdicts and the classification fixture suite."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
@@ -86,6 +88,72 @@ def test_grid_rejects_box_whose_ratio_overflows():
     with pytest.raises(ParameterViolation, match="finite hi / lo"):
         SampleGrid(box=((1e-300, 1e300), (1.0, 2.0)))
     SampleGrid(box=((1e-300, 1e7), (1.0, 2.0))).points()
+
+
+def _loop_coords(grid):
+    """The grid built one point at a time, the reference for coords(): the
+    mesh from itertools.product, then one seeded draw per jitter point,
+    drawn again while it is not strictly inside the box.  Returns the
+    (P, n) coordinates and the number of draws rejected."""
+    k = grid.points_per_axis
+    axes = [[lo * (hi / lo) ** ((i + 0.5) / k) for i in range(k)] for lo, hi in grid.box]
+    rows = [list(c) for c in itertools.product(*axes)]
+    rng = np.random.default_rng(grid.seed)
+    lows = np.array([lo for lo, _ in grid.box])
+    ratios = np.array([hi / lo for lo, hi in grid.box])
+    rejected = 0
+    for _ in range(grid.jitter_points):
+        while True:
+            coords = lows * ratios ** rng.random(grid.n)
+            if all(lo < c < hi for c, (lo, hi) in zip(coords, grid.box)):
+                break
+            rejected += 1
+        rows.append([float(c) for c in coords])
+    return np.array(rows), rejected
+
+
+@pytest.mark.parametrize(
+    "grid, rejects",
+    [
+        (default_grid(2), False),
+        (default_grid(3, seed=3), False),
+        (default_grid(6, seed=1), False),
+        (SampleGrid(box=((0.5, 2.0),), seed=2), False),
+        # the narrow axis puts draws on its bounds
+        (SampleGrid(box=((0.3, 3.0), (1.0, 1.0000000000000004)), points_per_axis=2, jitter_points=8), True),
+    ],
+    ids=["n2", "n3", "n6", "n1", "rejecting"],
+)
+def test_grid_coords_equal_the_point_loop_bitwise(grid, rejects):
+    expected, rejected = _loop_coords(grid)
+    assert (rejected > 0) == rejects
+    coords = grid.coords()
+    assert coords.shape == expected.T.shape
+    assert coords.tobytes() == expected.T.copy().tobytes()
+    assert [p.coords for p in grid.points()] == [tuple(r) for r in expected.tolist()]
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "0", None])
+def test_grid_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ParameterViolation, match="seed"):
+        SampleGrid(box=((0.5, 2.0),) * 2, seed=seed)
+
+
+def test_grid_size_is_capped():
+    # Rejected on construction, before any point is made.
+    with pytest.raises(ParameterViolation, match="more than the cap of 100000"):
+        SampleGrid(box=((0.5, 2.0),) * 3, points_per_axis=10**9)
+    # The cap counts the jitter points too.
+    SampleGrid(box=((0.5, 2.0),) * 2, points_per_axis=316, jitter_points=100_000 - 316**2)
+    with pytest.raises(ParameterViolation, match="grid has 100001 points"):
+        SampleGrid(box=((0.5, 2.0),) * 2, points_per_axis=316, jitter_points=100_001 - 316**2)
+
+
+@pytest.mark.parametrize("name", ["zero_abs", "zero_rel", "constancy_rel"])
+@pytest.mark.parametrize("value", [0.0, -1.0, -math.inf, math.nan, math.inf])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(ParameterViolation, match=name):
+        TolerancePolicy(**{name: value})
 
 
 def test_default_grid_shape():

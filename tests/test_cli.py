@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from prodgeo.catalog import build_family, build_quasi_product, spec_to_json
+from prodgeo.classifier import SampleGrid, default_grid
 from prodgeo.cli import main
 from prodgeo.errors import ExpressionError
+from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
+from prodgeo.linalg import ordered_pairs, pairs
+from prodgeo.reports import grid_reports, report_header, report_record
 
 
 def run(capsys, *argv):
@@ -82,6 +89,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
         capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "1e-300:1e300"
     )
     assert rc == 2 and "finite hi / lo" in err
+    rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--seed", "-1")
+    assert rc == 2 and err == "error: seed must be at least 0\n"
+    rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--tol-zero", "nan")
+    assert rc == 2 and err == "error: zero_abs must be finite, got nan\n"
+    rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--tol-const", "inf")
+    assert rc == 2 and err == "error: constancy_rel must be finite, got inf\n"
+    rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6,zzz=3")
+    assert rc == 2 and err == "error: cobb_douglas: unknown parameter 'zzz'\n"
+
+
+def test_grid_flags_apply_where_the_default_grid_exceeds_the_cap(capsys):
+    # At nine inputs the default 4 points per axis make more than 100,000
+    # points, and 2 points per axis make 544.
+    params = "A=1,k=" + ":".join(["0.1"] * 9)
+    rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", params)
+    assert rc == 2 and err == "error: grid has 262176 points, more than the cap of 100000\n"
+    rc, out, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", params, "--points-per-axis", "2")
+    assert (rc, err) == (0, "") and json.loads(out)["n"] == 9
 
 
 @pytest.mark.parametrize(
@@ -142,6 +167,88 @@ def test_analyze_csv_and_json_render_identical_numbers(capsys):
         assert by_col["gauss_kronecker"] == repr(row_doc["gauss_kronecker"])
         assert by_col["hicks_1_2"] == repr(row_doc["hicks"]["1_2"])
         assert by_col["allen_determinant"] == repr(row_doc["allen_determinant"])
+
+
+def _per_row_analyze(spec, grid, fmt):
+    """``analyze`` output built one report at a time: a dict per report
+    and json.dumps, or a row of repr cells per report."""
+    n = spec.n
+    header = [f"x{i + 1}" for i in range(n)] + ["f", "w", "gauss_kronecker", "mean_curvature"]
+    header += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs(n)]
+    header += [f"elasticity_x{i + 1}" for i in range(n)]
+    header += [f"mrs_{i + 1}_{k + 1}" for i, k in ordered_pairs(n)]
+    header += [f"{name}_{i + 1}_{k + 1}" for name in ("hicks", "allen") for i, k in pairs(n)]
+    header += ["allen_determinant"]
+    records = [
+        {
+            "point": list(r.point.coords),
+            "f": r.value,
+            "w": r.slope,
+            "gauss_kronecker": r.gauss_kronecker,
+            "mean_curvature": r.mean_curvature,
+            "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs(n)},
+            "elasticity": {f"x{i + 1}": float(v) for i, v in enumerate(r.elasticities)},
+            "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in ordered_pairs(n)},
+            "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs(n)},
+            "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs(n)},
+            "allen_determinant": r.allen_determinant,
+        }
+        for r in grid_reports(spec, grid)
+    ]
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for rec in records:
+            cells = []
+            for v in rec.values():
+                cells += v if isinstance(v, list) else list(v.values()) if isinstance(v, dict) else [v]
+            lines.append(",".join(repr(c) for c in cells))
+        return "\n".join(lines) + "\n"
+    doc = {"schema_version": "1", "command": "analyze", "family": spec.family, "n": n, "rows": records}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, spec, grid",
+    [
+        (["--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6"],
+         build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6)}), default_grid(2)),
+        (["--family", "acms", "--params", "A=1,k=1:0.5:0.7,rho=0.5,gamma=0.9", "--seed", "2"],
+         build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.7), "rho": 0.5, "gamma": 0.9}), default_grid(3, seed=2)),
+        (["--family", "transcendental", "--params", "A=1,a=0.3:0.3:0.4:0.2:0.5:0.1,b=0.1:0.2:0.3:0:0:0",
+          "--points-per-axis", "2"],
+         build_family("transcendental", {"A": 1.0, "a": (0.3, 0.3, 0.4, 0.2, 0.5, 0.1), "b": (0.1, 0.2, 0.3, 0, 0, 0)}),
+         SampleGrid(box=((0.5, 2.0),) * 6, points_per_axis=2)),
+        (["--spec", "SPEC", "--box", "0.2:5,1:3", "--points-per-axis", "4", "--seed", "5"],
+         build_quasi_product(Ln(Var(0)), [Exp(Mul(Const(0.7), Var(0))), Pow(Var(0), 0.25)]),
+         SampleGrid(box=((0.2, 5.0), (1.0, 3.0)), points_per_axis=4, seed=5)),
+    ],
+    ids=["n2", "n3", "n6", "spec_box"],
+)
+def test_analyze_output_equals_the_per_row_rendering(tmp_path, capsys, argv, spec, grid, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(spec_to_json(spec))
+    argv = [str(path) if a == "SPEC" else a for a in argv]
+    rc, out, err = run(capsys, "analyze", *argv, "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert out == _per_row_analyze(spec, grid, fmt)
+
+
+def test_analyze_renders_non_finite_cells_as_json_and_repr_do():
+    from prodgeo.cli import _render_analyze
+
+    spec = build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6)})
+    width = len(report_header(2))
+    first = [math.nan, math.inf, -math.inf, -0.0, 5e-324] + [0.5] * (width - 5)
+    table = np.array([first, first[::-1]])
+    out = _render_analyze(spec, table, "json")
+    records = [report_record(2, row) for row in table.tolist()]
+    doc = {"schema_version": "1", "command": "analyze", "family": "cobb_douglas", "n": 2, "rows": records}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert '"point": [\n        NaN,\n        Infinity\n      ],\n      "f": -Infinity,\n      "w": -0.0,' in out
+    lines = _render_analyze(spec, table, "csv").split("\n")
+    assert lines[1].split(",")[:5] == ["nan", "inf", "-inf", "-0.0", "5e-324"]
+    assert lines[2].split(",")[-5:] == ["5e-324", "-0.0", "-inf", "inf", "nan"]
 
 
 def test_classify_csv_round_trip_values(capsys):
