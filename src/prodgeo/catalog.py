@@ -51,8 +51,7 @@ from .expr import (
     substitute,
     variables,
 )
-from .jets import propagate, univariate_jet
-from .linalg import quadratic_form
+from .jets import gradient_norm_sq, propagate, univariate_jet
 from .points import Point, as_point
 
 __all__ = [
@@ -83,10 +82,10 @@ FAMILIES = frozenset(
     }
 )
 
-# Points sampled per axis by validate(), the cap on its mesh and on a
-# SampleGrid, and the points validate() evaluates at once, which bounds
-# its memory.
-_VALIDATE_POINTS_PER_AXIS = 5
+# The points per axis validate() may sample, the most first; the cap on
+# its mesh and on a SampleGrid; and the points validate() evaluates at
+# once, which bounds its memory.
+_VALIDATE_POINTS_PER_AXIS = (5, 4, 3, 2)
 MAX_GRID_POINTS = 100_000
 _VALIDATE_BLOCK = 4096
 
@@ -332,8 +331,6 @@ class Diagnostic:
 
 
 def _axis_samples(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [math.sqrt(lo * hi)]
     ratio = hi / lo
     return [lo * ratio ** (i / (count - 1)) for i in range(count)]
 
@@ -341,13 +338,16 @@ def _axis_samples(lo: float, hi: float, count: int) -> list[float]:
 def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     """Probe the spec over a box of positive bounds.
 
-    Samples a log-uniform grid (5 points per axis, capped at 1e5 points)
-    and reports, per point: non-positive or failing evaluations,
-    vanishing first partials, and for composite functions a vanishing
-    outer derivative, vanishing inner derivatives or non-positive inner
-    values.  Diagnostics are the output; nothing raises for a bad
-    function, only for a bad region.  Blocks of points are evaluated at
-    once, and a block where a point fails again one point at a time.
+    Samples a log-uniform grid, endpoints included, with the most points
+    per axis of 5, 4, 3 and 2 that keeps it within MAX_GRID_POINTS: 5 up
+    to seven axes, 4 at eight, 3 at nine and ten, 2 up to 16; a region
+    of more axes raises ParameterViolation.  Reports, per point:
+    non-positive or failing evaluations, vanishing first partials, and
+    for composite functions a vanishing outer derivative, vanishing inner
+    derivatives or non-positive inner values.  Diagnostics are the
+    output; nothing raises for a bad function, only for a bad region.
+    Blocks of points are evaluated at once, and a block where a point
+    fails again one point at a time.
     """
     region = [(float(lo), float(hi)) for lo, hi in region]
     if len(region) != spec.n:
@@ -356,8 +356,12 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
         if not (0.0 < lo < hi) or not math.isfinite(hi / lo):
             raise ParameterViolation(f"region bounds need 0 < lo < hi and a finite hi / lo, got {(lo, hi)!r}")
 
-    axes = [_axis_samples(lo, hi, _VALIDATE_POINTS_PER_AXIS) for lo, hi in region]
-    mesh = itertools.islice(itertools.product(*axes), MAX_GRID_POINTS)
+    count = next((c for c in _VALIDATE_POINTS_PER_AXIS if c ** len(region) <= MAX_GRID_POINTS), None)
+    if count is None:
+        raise ParameterViolation(
+            f"region has {len(region)} axes; a mesh of 2 points per axis would exceed {MAX_GRID_POINTS} points"
+        )
+    mesh = itertools.product(*(_axis_samples(lo, hi, count) for lo, hi in region))
     findings: list[Diagnostic] = []
     while block := list(itertools.islice(mesh, _VALIDATE_BLOCK)):
         coords = np.array(block).T
@@ -378,7 +382,7 @@ def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagn
     with np.errstate(all="ignore"):
         out = propagate(spec, coords)
         f, g = out.f, np.ascontiguousarray(out.g.T)
-        g_sq = np.where(np.isfinite(g).all(axis=1), quadratic_form(g), math.inf)
+        g_sq = np.where(np.isfinite(g).all(axis=1), gradient_norm_sq(g), math.inf)
         # (mask, code, message, axis, values): one finding where mask holds.
         checks = [(~np.isfinite(f) | (f <= 0.0), "nonpositive_output", "f = {!r}", None, f)]
         for i in range(spec.n):

@@ -371,7 +371,13 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     # Substitution first, so that an evaluation error at any point is
     # reported rather than a curvature overflow at a later one.
     elasticities, mrs_dev, hicks = _substitution_stats(coords, jets)
-    curvature = _curvature_stats(jets, tol)
+    # The pass raises only where a power of the slope factor overflows, in
+    # the Gauss-Kronecker curvature first, then in the mean curvature.
+    curvature = grid_stage(
+        coords,
+        lambda: _curvature_stats(jets, tol),
+        lambda k, _: [indicator(jets.at(k)) for indicator in (gauss_kronecker, mean_curvature_of_jet)],
+    )
     bounded = {name: curvature[name] for name in ("vanishing_gk", "flat", "minimal", "vanishing_sectional")}
     bounded["proportional_mrs"] = (*_largest(mrs_dev), tol.constancy_rel)
     properties = [

@@ -21,7 +21,8 @@ whole real line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 from .errors import DomainViolation, ExpressionError
 
@@ -162,6 +163,17 @@ class Ln(Expr):
     child: Expr
 
 
+#: Every node class, with its serialization tag (its name in lower case),
+#: its field count and its child count: the children are its leading
+#: fields, typed Expr, and the rest are payloads (Const.value, Var.index,
+#: Pow.exponent).
+_KINDS = {
+    node: (node.__name__.lower(), len(fields(node)), sum(f.type == "Expr" for f in fields(node)))
+    for node in Expr.__subclasses__()
+}
+_NODES = {tag: node for node, (tag, _, _) in _KINDS.items()}
+
+
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -222,44 +234,29 @@ def check_depth(tree) -> None:
     raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
 
 
+def _split(e: Expr) -> tuple[str, tuple, tuple]:
+    """The tag of node ``e``, its children and its payloads."""
+    try:
+        tag, _, count = _KINDS[type(e)]
+    except KeyError:
+        raise ExpressionError(f"unknown node {e!r}") from None
+    parts = tuple(vars(e).values())
+    return tag, parts[:count], parts[count:]
+
+
 def variables(e: Expr) -> frozenset[int]:
     """Set of variable indices appearing in the tree."""
-    match e:
-        case Const():
-            return frozenset()
-        case Var(index=i):
-            return frozenset({i})
-        case Neg(child=a) | Exp(child=a) | Ln(child=a):
-            return variables(a)
-        case Add(left=a, right=b) | Mul(left=a, right=b) | Div(left=a, right=b):
-            return variables(a) | variables(b)
-        case Pow(base=a):
-            return variables(a)
-    raise ExpressionError(f"unknown node {e!r}")
+    if isinstance(e, Var):
+        return frozenset({e.index})
+    return frozenset().union(*map(variables, _split(e)[1]))
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace every Var(i) with mapping[i]; unmapped variables stay."""
-    match e:
-        case Const():
-            return e
-        case Var(index=i):
-            return mapping.get(i, e)
-        case Neg(child=a):
-            return Neg(substitute(a, mapping))
-        case Add(left=a, right=b):
-            return Add(substitute(a, mapping), substitute(b, mapping))
-        case Mul(left=a, right=b):
-            return Mul(substitute(a, mapping), substitute(b, mapping))
-        case Div(left=a, right=b):
-            return Div(substitute(a, mapping), substitute(b, mapping))
-        case Pow(base=a, exponent=c):
-            return Pow(substitute(a, mapping), c)
-        case Exp(child=a):
-            return Exp(substitute(a, mapping))
-        case Ln(child=a):
-            return Ln(substitute(a, mapping))
-    raise ExpressionError(f"unknown node {e!r}")
+    if isinstance(e, Var):
+        return mapping.get(e.index, e)
+    _, children, payloads = _split(e)
+    return type(e)(*map(substitute, children, repeat(mapping)), *payloads) if children else e
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +353,10 @@ def eval_value(e: Expr, xs) -> float:
 # Serialization: nested prefix arrays, JSON-compatible
 # ---------------------------------------------------------------------------
 
-_ARITY = {"const": 1, "var": 1, "neg": 1, "exp": 1, "ln": 1, "add": 2, "mul": 2, "div": 2, "pow": 2}
-_NODES = {"neg": Neg, "exp": Exp, "ln": Ln, "add": Add, "mul": Mul, "div": Div}
-_TAGS = {node: tag for tag, node in _NODES.items()}
-
-
 def expr_to_obj(e: Expr):
     """Encode as a nested prefix array, e.g. ``["mul", ["var", 0], ["const", 2.0]]``."""
-    match e:
-        case Const(value=c):
-            return ["const", c]
-        case Var(index=i):
-            return ["var", i]
-        case Pow(base=a, exponent=c):
-            return ["pow", expr_to_obj(a), c]
-    if type(e) not in _TAGS:
-        raise ExpressionError(f"unknown node {e!r}")
-    return [_TAGS[type(e)], *map(expr_to_obj, vars(e).values())]
+    tag, children, payloads = _split(e)
+    return [tag, *map(expr_to_obj, children), *payloads]
 
 
 def expr_from_obj(obj) -> Expr:
@@ -385,20 +369,16 @@ def _decode(obj) -> Expr:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ExpressionError(f"expression node must be a non-empty array, got {obj!r}")
     tag, *args = obj
-    if not isinstance(tag, str) or tag not in _ARITY:
+    node = _NODES.get(tag) if isinstance(tag, str) else None
+    if node is None:
         raise ExpressionError(f"unknown node tag {tag!r}")
-    if len(args) != _ARITY[tag]:
-        raise ExpressionError(f"node {tag!r} expects {_ARITY[tag]} argument(s), got {len(args)}")
-    if tag == "const":
-        if not isinstance(args[0], (int, float)):
-            raise ExpressionError(f"const payload must be a number, got {args[0]!r}")
-        return Const(float(args[0]))
-    if tag == "var":
-        if not isinstance(args[0], int):
-            raise ExpressionError(f"var payload must be an int, got {args[0]!r}")
-        return Var(args[0])
-    if tag == "pow":
-        if not isinstance(args[1], (int, float)):
-            raise ExpressionError(f"pow exponent must be a number, got {args[1]!r}")
-        return Pow(_decode(args[0]), float(args[1]))
-    return _NODES[tag](*map(_decode, args))
+    _, arity, count = _KINDS[node]
+    if len(args) != arity:
+        raise ExpressionError(f"node {tag!r} expects {arity} argument(s), got {len(args)}")
+    if node is Const and not isinstance(args[0], (int, float)):
+        raise ExpressionError(f"const payload must be a number, got {args[0]!r}")
+    if node is Var and not isinstance(args[0], int):
+        raise ExpressionError(f"var payload must be an int, got {args[0]!r}")
+    if node is Pow and not isinstance(args[1], (int, float)):
+        raise ExpressionError(f"pow exponent must be a number, got {args[1]!r}")
+    return node(*map(_decode, args[:count]), *args[count:])

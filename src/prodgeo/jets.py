@@ -116,14 +116,6 @@ class Jet2:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.f - other.f, self.g - other.g, self.h - other.h)
-        return Jet2(self.f - other, self.g, self.h)
-
-    def __rsub__(self, other):
-        return Jet2(other - self.f, -self.g, -self.h)
-
     def __mul__(self, other):
         if isinstance(other, Jet2):
             return Jet2(
@@ -248,8 +240,21 @@ class SecondOrderJet:
 
     @cached_property
     def gradient_sq(self) -> PointValues:
-        """|grad f|^2."""
-        return quadratic_form(self.stacked[0])
+        """|grad f|^2.  Raises DomainViolation where it overflows."""
+        return gradient_norm_sq(self.stacked[0])
+
+
+def gradient_norm_sq(g: np.ndarray) -> PointValues:
+    """|g|^2 of one (n,) gradient, or of each row of a (P, n) stack.
+    Raises DomainViolation where every partial is finite but the sum of
+    their squares overflows."""
+    with np.errstate(over="ignore"):
+        g_sq = quadratic_form(g)
+    overflow = np.isinf(g_sq)
+    if overflow.any():
+        largest = np.abs(g).max(axis=-1)
+        _reject(overflow & np.isfinite(largest), largest, "|grad f|^2 overflows (largest |partial| {!r})")
+    return g_sq
 
 
 def _freeze_jet(value: PointValues, gradient: np.ndarray, hessian: np.ndarray) -> SecondOrderJet:

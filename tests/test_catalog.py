@@ -23,8 +23,8 @@ from prodgeo.errors import (
     ExpressionError,
     ParameterViolation,
 )
-from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr, sum_chain
-from prodgeo.jets import propagate, univariate_jet
+from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr, product_chain, sum_chain
+from prodgeo.jets import jet, propagate, univariate_jet
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,33 @@ def test_validate_flags_non_finite_outputs_and_partials():
         ("zero_partial", 1),  # 1.0, flagged because |grad f| is not finite
     ]
     assert math.isnan(findings[1].value) and findings[2].value == 1.0
+
+
+def test_validate_reports_an_overflowing_gradient_norm_as_one_evaluation_error():
+    # Every partial of 1e200 x1 x2 is finite on the box, but |grad f|^2 overflows.
+    spec = build_family("cobb_douglas", {"A": 1e200, "k": [1.0, 1.0]})
+    findings = validate(spec, [(0.5, 2.0)] * 2)
+    assert len(findings) == 25
+    for d in findings:
+        assert (d.code, d.axis, d.value) == ("evaluation_error", None, None)
+        with pytest.raises(DomainViolation) as e:
+            jet(spec, d.point).gradient_sq
+        assert d.message == str(e.value)
+
+
+def test_validate_samples_both_ends_of_every_axis_beyond_seven_inputs():
+    # 5^8 points exceed the cap, so each axis gets 4; 511 - x1 x2 ... x8 is
+    # non-positive only at the far corner, where x1 = 4 and the rest are 2.
+    spec = FunctionSpec(8, Const(511.0) - product_chain([Var(i) for i in range(8)]))
+    findings = validate(spec, [(0.5, 4.0)] + [(0.5, 2.0)] * 7)
+    assert [(d.code, d.point.coords, d.value) for d in findings] == [
+        ("nonpositive_output", (4.0,) + (2.0,) * 7, -1.0)
+    ]
+
+
+def test_validate_rejects_more_than_sixteen_axes():
+    with pytest.raises(ParameterViolation, match="17 axes"):
+        validate(FunctionSpec(17, Var(0)), [(0.5, 2.0)] * 17)
 
 
 def test_validate_zero_partial_is_scale_free():

@@ -255,6 +255,22 @@ def test_classify_propagates_errors_with_point():
         assert str(exc.value) == f"{message} at point {point.coords}"
 
 
+def test_classify_names_the_first_point_of_a_curvature_overflow():
+    # w ** 4 overflows at every point of the grid; the error names the
+    # first, with the message that the per-point reports raise.
+    from prodgeo.reports import grid_reports
+
+    spec = build_family("cobb_douglas", {"A": 1e100, "k": (1.0, 1.0)})
+    grid = default_grid(2)
+    with pytest.raises(DomainViolation) as exc:
+        classify(spec, grid)
+    with pytest.raises(DomainViolation) as reports:
+        grid_reports(spec, grid)
+    assert exc.value.point == grid.points()[0]
+    assert str(exc.value) == str(reports.value)
+    assert str(exc.value).startswith("slope factor power overflows: 7.807091821557099e+99 ** 4 at point")
+
+
 def _first_substitution_error(spec, grid):
     points = grid.points()
     jets = [jet(spec, p) for p in points]

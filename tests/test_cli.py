@@ -335,6 +335,27 @@ def test_analyze_evaluates_the_grid_at_once(capsys, monkeypatch):
     assert calls == {"jet": 0, "grid_jet": 1}
 
 
+def test_classify_curvature_overflow_names_the_point_as_analyze_does(capsys):
+    argv = ("--family", "cobb_douglas", "--params", "A=1e100,k=1:1")
+    classify = run(capsys, "classify", *argv)
+    analyze = run(capsys, "analyze", *argv)
+    assert classify == analyze
+    assert classify[:2] == (3, "")
+    assert classify[2] == (
+        "evaluation error: slope factor power overflows: 7.807091821557099e+99 ** 4"
+        " at point (0.5520447568369061, 0.5520447568369061)\n"
+    )
+
+
+def test_classify_gradient_norm_overflow_exits_3(capsys):
+    rc, out, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1e200,k=1:1")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "evaluation error: |grad f|^2 overflows (largest |partial| 5.520447568369061e+199)"
+        " at point (0.5520447568369061, 0.5520447568369061)\n"
+    )
+
+
 def test_ln_of_tiny_value_exits_3(capsys, monkeypatch):
     doc = {"n": 2, "family": "custom",
            "body": ["add", ["exp", ["ln", ["mul", ["const", 1e-170], ["var", 0]]]], ["var", 1]]}

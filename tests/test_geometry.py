@@ -306,6 +306,18 @@ def test_slope_factor_overflow_is_a_domain_violation():
         curvature_sample(spec, p)
 
 
+def test_gradient_norm_overflow_is_a_domain_violation():
+    # Both partials of 1e200 x1 x2 are 1e200 at (1, 1), but |grad f|^2 is not finite.
+    j = jet(build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)}), (1.0, 1.0))
+    assert np.all(np.isfinite(j.gradient))
+    for indicator in (gauss_kronecker, slope_w, mean_curvature_of_jet, minimality_residual):
+        # gauss_kronecker's determinant overflows before w is needed
+        with np.errstate(over="ignore"), pytest.raises(
+            DomainViolation, match=r"\|grad f\|\^2 overflows \(largest \|partial\| 1e\+200\)"
+        ):
+            indicator(j)
+
+
 def test_stacked_det_pivoted_equals_each_matrix_bitwise():
     from prodgeo.linalg import det_pivoted
 

@@ -124,9 +124,14 @@ def _reference_validate(spec, region):
             findings.append(Diagnostic(point, "evaluation_error", str(e)))
             continue
         value, gradient = out.f, out.g
+        if not np.all(np.isfinite(gradient)):
+            g_sq = math.inf
+        elif math.isinf(g_sq := float(gradient @ gradient)):
+            largest = float(np.max(np.abs(gradient)))
+            findings.append(Diagnostic(point, "evaluation_error", f"|grad f|^2 overflows (largest |partial| {largest!r})"))
+            continue
         if not math.isfinite(value) or value <= 0.0:
             findings.append(Diagnostic(point, "nonpositive_output", f"f = {value!r}", value=float(value)))
-        g_sq = float(gradient @ gradient) if np.all(np.isfinite(gradient)) else math.inf
         for i in range(spec.n):
             gi = float(gradient[i])
             if not math.isfinite(gi) or abs(gi) <= ZERO_MARGINAL_RTOL * math.sqrt(g_sq):
