@@ -443,6 +443,8 @@ def _params_from_obj(obj) -> dict:
             raise ExpressionError(
                 f"parameter {key!r} must be a number or a list of numbers, got {value!r}"
             ) from None
+        except OverflowError:
+            raise ExpressionError(f"parameter {key!r} has an integer beyond the float range") from None
     return out
 
 
@@ -494,7 +496,8 @@ def spec_to_json(spec: FunctionSpec, indent: Optional[int] = None) -> str:
 def spec_from_json(text: str) -> FunctionSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # A JSONDecodeError, or an integer literal past the digit limit of int().
         raise ExpressionError(f"invalid spec JSON: {e}") from None
     except RecursionError:
         raise ExpressionError("invalid spec JSON: nested too deeply to decode") from None

@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import MAX_GRID_POINTS, FunctionSpec, build_family, build_quasi_product
 from .economics import substitution_values
-from .errors import ParameterViolation
+from .errors import ParameterViolation, ProdGeoError
 from .expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from .geometry import (
     canonical_riemann_quads,
@@ -49,7 +49,7 @@ from .geometry import (
 )
 from .jets import SecondOrderJet, grid_jet
 from .linalg import ordered_pairs, pairs, quadratic_form
-from .points import Point, grid_stage
+from .points import Point
 
 __all__ = [
     "SampleGrid",
@@ -225,13 +225,6 @@ class ClassificationVerdict:
         }
 
 
-def grid_points(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
-    """The grid's (n, P) coordinates, for ``spec``."""
-    if grid.n != spec.n:
-        raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
-    return grid.coords()
-
-
 def _witness(coords: np.ndarray, k: Optional[int]) -> Optional[Point]:
     """Point ``k`` of the (n, P) ``coords``, or None for no witness."""
     return None if k is None else Point(tuple(coords[:, k].tolist()))
@@ -245,9 +238,37 @@ def _witness(coords: np.ndarray, k: Optional[int]) -> Optional[Point]:
 # them over the point axis.  Witnesses are first occurrences in point
 # order, NaN is skipped, and a value that is nowhere defined has no
 # witness (None), as a scan over the points with strict comparisons
-# would give.  Numpy's warnings are off in the passes: a loop over the
-# points would have stopped at a failing point before reaching later
-# ones, and a failure re-runs one point at a time with warnings on.
+# would give.
+
+def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
+    """The grid's (n, P) coordinates and ``indicators(jets, coords)`` of
+    the grid's jets, evaluated at every point at once with numpy's
+    warnings off: a loop over the points would stop at the first failing
+    one."""
+    if grid.n != spec.n:
+        raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
+    coords = grid.coords()
+    with np.errstate(all="ignore"):
+        return coords, _pass(spec, coords, indicators)
+
+
+def _pass(spec: FunctionSpec, coords: np.ndarray, indicators):
+    """``indicators`` of the jets at ``coords``.  If that raises a
+    ProdGeoError, the same pass runs on each half of the points in grid
+    order, down to the first failing point, whichever of the jets and the
+    indicators fails there, and its error names that point: each check
+    fails on a set of points exactly when it fails at one of them."""
+    try:
+        return indicators(grid_jet(spec, coords), coords)
+    except ProdGeoError as e:
+        if coords.shape[1] > 1:
+            for half in np.array_split(coords, 2, axis=1):
+                _pass(spec, half, indicators)
+        elif e.point is None:
+            e.point = Point(tuple(coords[:, 0].tolist()))
+            e.args = (f"{e.args[0]} at point {e.point.coords}",) + e.args[1:]
+        raise
+
 
 def _largest(a: np.ndarray) -> tuple[float, Optional[int]]:
     """The largest entry of the (P, m) array ``a`` and its first point's index."""
@@ -268,7 +289,6 @@ def _noise(a: np.ndarray) -> float:
     return float(np.where(np.isnan(a), 0.0, a).max(initial=0.0))
 
 
-@np.errstate(all="ignore")
 def _curvature_stats(
     jets: SecondOrderJet, tol: TolerancePolicy
 ) -> dict[str, tuple[float, Optional[int], float]]:
@@ -316,19 +336,15 @@ def _curvature_stats(
 
 
 def _substitution_stats(
-    coords: np.ndarray, jets: SecondOrderJet
+    jets: SecondOrderJet, coords: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Output elasticities (P, n), |proportional-MRS deviations| (P, n(n-1))
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
-
-    def at_once():
-        elasticities, mrs_ik, hicks = substitution_values(jets, coords)
-        hicks = list(hicks)
-        # proportional MRS means MRS_ik == x_i / x_k
-        mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
-        return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
-
-    return grid_stage(coords, at_once, lambda k, p: list(substitution_values(jets.at(k), p)[2]))
+    elasticities, mrs_ik, hicks = substitution_values(jets, coords)
+    hicks = list(hicks)
+    # proportional MRS means MRS_ik == x_i / x_k
+    mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
+    return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +382,10 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     evaluation errors propagate with the offending point attached.
     """
     tol = tol or TolerancePolicy()
-    coords = grid_points(spec, grid)
-    jets = grid_jet(spec, coords)
-    # Substitution first, so that an evaluation error at any point is
-    # reported rather than a curvature overflow at a later one.
-    elasticities, mrs_dev, hicks = _substitution_stats(coords, jets)
-    # The pass raises only where a power of the slope factor overflows, in
-    # the Gauss-Kronecker curvature first, then in the mean curvature.
-    curvature = grid_stage(
-        coords,
-        lambda: _curvature_stats(jets, tol),
-        lambda k, _: [indicator(jets.at(k)) for indicator in (gauss_kronecker, mean_curvature_of_jet)],
+    # Substitution first: its evaluation errors take precedence over a
+    # curvature overflow at the same point, as in a report.
+    coords, ((elasticities, mrs_dev, hicks), curvature) = grid_pass(
+        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol))
     )
     bounded = {name: curvature[name] for name in ("vanishing_gk", "flat", "minimal", "vanishing_sectional")}
     bounded["proportional_mrs"] = (*_largest(mrs_dev), tol.constancy_rel)
@@ -402,8 +411,7 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    coords = grid_points(spec, grid)
-    _, _, hicks = _substitution_stats(coords, grid_jet(spec, coords))
+    _, (_, _, hicks) = grid_pass(spec, grid, _substitution_stats)
     values = hicks.ravel().tolist()
     return sum(values) / len(values), max(values) - min(values)
 
@@ -607,8 +615,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tol = tol or TolerancePolicy()
     results = []
     for fx in catalog_fixtures():
-        coords = grid_points(fx.spec, default_grid(fx.spec.n, seed=fx.seed))
-        curvature = _curvature_stats(grid_jet(fx.spec, coords), tol)
+        grid = default_grid(fx.spec.n, seed=fx.seed)
+        coords, curvature = grid_pass(fx.spec, grid, lambda j, _: _curvature_stats(j, tol))
         for check in fx.checks:
             results.append(_run_check(fx, check, curvature, coords))
     return CatalogReport(tuple(results))

@@ -98,15 +98,23 @@ class Expr:
         return Pow(self, float(exponent))
 
 
+def _finite(x, what: str) -> float:
+    """``x`` as a finite float; ExpressionError names ``what`` otherwise."""
+    try:
+        v = float(x)
+    except OverflowError:
+        raise ExpressionError(f"{what} must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(v):
+        raise ExpressionError(f"{what} must be finite, got {x!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ExpressionError(f"constant must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _finite(self.value, "constant"))
 
 
 @dataclass(frozen=True)
@@ -147,10 +155,7 @@ class Pow(Expr):
     exponent: float
 
     def __post_init__(self):
-        e = float(self.exponent)
-        if not math.isfinite(e):
-            raise ExpressionError(f"power exponent must be finite, got {self.exponent!r}")
-        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "exponent", _finite(self.exponent, "power exponent"))
 
 
 @dataclass(frozen=True)

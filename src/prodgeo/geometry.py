@@ -78,7 +78,9 @@ def hessian_determinant(j: SecondOrderJet) -> PointValues:
 
 def gauss_kronecker(j: SecondOrderJet) -> PointValues:
     """det(Hess f) / w^(n+2)."""
-    return j.unbox(hessian_determinant(j) / slope_power(j, j.n + 2))
+    # The slope factor first: where it raises, the determinant may overflow.
+    w_power = slope_power(j, j.n + 2)
+    return j.unbox(hessian_determinant(j) / w_power)
 
 
 def mean_curvature_of_jet(j: SecondOrderJet) -> PointValues:
@@ -159,13 +161,15 @@ def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
     point = as_point(p)
     j = jet(spec, point)
     n = j.n
+    # The indicators that raise first, before the components that would
+    # overflow at the same point.
     return CurvatureSample(
         point=point,
-        sectional=symmetric_matrix(n, [sectional_curvature(j, i, k) for i, k in pairs(n)]),
-        riemann={q: riemann_component(j, *q) for q in canonical_riemann_quads(n) + list(extra_quads)},
         w=slope_w(j),
         gauss_kronecker=gauss_kronecker(j),
         mean=mean_curvature_of_jet(j),
+        sectional=symmetric_matrix(n, [sectional_curvature(j, i, k) for i, k in pairs(n)]),
+        riemann={q: riemann_component(j, *q) for q in canonical_riemann_quads(n) + list(extra_quads)},
     )
 
 

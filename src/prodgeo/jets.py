@@ -30,10 +30,10 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
+from .errors import ArityMismatch, DomainViolation, ProdGeoError, StencilOutOfDomain
 from .expr import Expr, eval_expr, eval_value, variables
 from .linalg import quadratic_form
-from .points import as_point, grid_stage
+from .points import as_point
 
 if TYPE_CHECKING:
     from .catalog import FunctionSpec
@@ -208,14 +208,6 @@ class SecondOrderJet:
             if not 0 <= i < self.n:
                 raise IndexError(f"input index {i} out of range for n={self.n}")
 
-    def at(self, k: int) -> "SecondOrderJet":
-        """The one-point jet of point ``k`` of a grid jet."""
-        return SecondOrderJet(
-            float(self.value[k]),
-            _read_only(self.gradient[:, k].copy()),
-            _read_only(self.hessian[:, :, k].copy()),
-        )
-
     def anywhere(self, mask) -> bool:
         """Whether ``mask`` holds at the point, or at any point of a grid."""
         return bool(mask.any() if self.is_grid else mask)
@@ -322,8 +314,15 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
     """
     if coords.shape[0] != spec.n:
         raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
-    # Points that fail a check carry inf or NaN onward until it raises.
-    return grid_stage(coords, lambda: _checked(propagate(spec, coords)), lambda _, p: jet(spec, p))
+    # Points that fail a check carry inf or NaN onward until it raises;
+    # then jet() at each point in order raises the first failing point's error.
+    try:
+        with np.errstate(all="ignore"):
+            return _checked(propagate(spec, coords))
+    except ProdGeoError:
+        for p in coords.T.tolist():
+            jet(spec, p)
+        raise
 
 
 def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, PointValues]:

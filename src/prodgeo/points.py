@@ -1,14 +1,11 @@
-"""Strictly positive input points, and grid stages that re-run point by
-point when they fail."""
+"""Strictly positive input points."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainViolation, ProdGeoError
+from .errors import DomainViolation
 
 __all__ = ["Point", "as_point"]
 
@@ -47,25 +44,3 @@ def as_point(p) -> Point:
     if isinstance(p, Point):
         return p
     return Point(tuple(p))
-
-
-def grid_stage(coords: np.ndarray, at_once, per_point):
-    """``at_once()``, a stage evaluated at every point of the (n, P)
-    ``coords`` at once, with numpy's warnings off: a loop over the points
-    would stop at the first failing one.  If it raises a ProdGeoError,
-    ``per_point(k, point)`` runs at each point in grid order, so that the
-    first failing point raises, its error naming it."""
-    try:
-        with np.errstate(all="ignore"):
-            return at_once()
-    except ProdGeoError:
-        for k, c in enumerate(coords.T.tolist()):
-            point = Point(tuple(c))
-            try:
-                per_point(k, point)
-            except ProdGeoError as e:
-                if e.point is None:
-                    e.point = point
-                    e.args = (f"{e.args[0]} at point {tuple(point.coords)}",) + e.args[1:]
-                raise
-        raise

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import FunctionSpec, as_point
-from .classifier import SampleGrid, grid_points
+from .classifier import SampleGrid, grid_pass
 from .economics import substitution_fields
 from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
-from .jets import SecondOrderJet, grid_jet, jet
+from .jets import SecondOrderJet, jet
 from .linalg import ordered_pairs, pairs, symmetric_matrix
-from .points import Point, grid_stage
+from .points import Point
 
 __all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_table", "report_record", "report_header"]
 
@@ -67,17 +67,9 @@ def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
     return GeometryReport(point=point, **_fields(jet(spec, point), point))
 
 
-def _grid_fields(spec: FunctionSpec, grid: SampleGrid) -> tuple[np.ndarray, dict]:
-    """The grid's (n, P) coordinates and the fields of its reports,
-    evaluated at once; a failure raises as at the first failing point."""
-    coords = grid_points(spec, grid)
-    fields = grid_stage(coords, lambda: _fields(grid_jet(spec, coords), coords), lambda _, p: geometry_report(spec, p))
-    return coords, fields
-
-
 def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
     """``geometry_report`` at every point of the grid, evaluated at once."""
-    coords, fields = _grid_fields(spec, grid)
+    coords, fields = grid_pass(spec, grid, _fields)
     return [
         GeometryReport(point=Point(tuple(c)), **{name: v[k] if v.ndim > 1 else float(v[k]) for name, v in fields.items()})
         for k, c in enumerate(coords.T.tolist())
@@ -87,7 +79,7 @@ def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
 def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
     """The reports of ``grid_reports`` as one (P, m) array, one row per
     point and one column per name of ``report_header``."""
-    coords, f = _grid_fields(spec, grid)
+    coords, f = grid_pass(spec, grid, _fields)
     i, k = np.array(pairs(spec.n)).T
     oi, ok = np.array(ordered_pairs(spec.n)).T
     return np.column_stack([

@@ -354,6 +354,12 @@ def test_spec_json_round_trip(spec):
 def test_spec_json_rejects_bad_documents():
     with pytest.raises(ExpressionError):
         spec_from_json("not json at all {")
+    # integers beyond the float range, and past int()'s digit limit where one applies
+    for params in ({"A": 10**400}, {"k": [1, 10**400]}):
+        with pytest.raises(ExpressionError, match="has an integer beyond the float range"):
+            spec_from_json(json.dumps({"n": 2, "family": "custom", "body": ["var", 0], "params": params}))
+    with pytest.raises(ExpressionError):
+        spec_from_json('{"n": 2, "family": "custom", "body": ["const", 1' + "0" * 5000 + "]}")
     with pytest.raises(ExpressionError):
         spec_from_json(json.dumps({"family": "custom", "body": ["var", 0]}))
     with pytest.raises(ExpressionError):

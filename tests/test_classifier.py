@@ -25,7 +25,7 @@ from prodgeo.errors import (
     ZeroMarginalProduct,
 )
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
-from prodgeo.jets import jet
+from prodgeo.jets import grid_jet, jet
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,49 @@ def test_classify_names_the_first_point_of_a_curvature_overflow():
     assert str(exc.value).startswith("slope factor power overflows: 7.807091821557099e+99 ** 4 at point")
 
 
+#: Specs whose first failing point differs between the stages of a grid
+#: pass: at the first point of the default grid w ** 4 overflows, while the
+#: marginal product of x2 vanishes at later ones; and the marginal product
+#: of x2 vanishes before the first point where 1.5 - x1 is negative.
+ONE_PASS_CASES = {
+    "slope_overflow_first": (
+        FunctionSpec(2, Pow(Mul(Var(0), Var(1)), -150.0) + Var(0) + Exp(Mul(Const(-40.0), Var(1)))),
+        DomainViolation,
+        "slope factor power overflows: 9.825284580896037e+79 ** 4",
+    ),
+    "zero_marginal_first": (
+        FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Exp(Mul(Const(-40.0), Var(1)))),
+        ZeroMarginalProduct,
+        "marginal product of x2 is numerically zero (-2.245821599253149e-13)",
+    ),
+}
+
+
+def _first_raising(fn, points):
+    for p in points:
+        try:
+            fn(p)
+        except ProdGeoError:
+            return p
+    raise AssertionError("no point fails")
+
+
+@pytest.mark.parametrize("case", ONE_PASS_CASES.values(), ids=ONE_PASS_CASES.keys())
+def test_classify_raises_the_error_of_the_reports(case):
+    from prodgeo.reports import geometry_report, grid_reports
+
+    spec, error, message = case
+    grid = default_grid(2)
+    with pytest.raises(ProdGeoError) as exc:
+        classify(spec, grid)
+    with pytest.raises(ProdGeoError) as reports:
+        grid_reports(spec, grid)
+    assert type(exc.value) is type(reports.value) is error
+    assert exc.value.point == reports.value.point
+    assert str(exc.value) == str(reports.value) == f"{message} at point {exc.value.point.coords}"
+    assert exc.value.point == _first_raising(lambda p: geometry_report(spec, p), grid.points())
+
+
 def _first_substitution_error(spec, grid):
     points = grid.points()
     jets = [jet(spec, p) for p in points]
@@ -326,6 +369,22 @@ def test_estimate_sigma_cobb_douglas_is_one():
     est, spread = estimate_sigma(spec, default_grid(2))
     assert est == pytest.approx(1.0, abs=1e-10)
     assert spread <= 1e-10
+
+
+def test_estimate_sigma_names_the_first_failing_point():
+    # exp(2000 x1 - 2000) is exactly 0 for x1 below 0.63, so every second
+    # derivative vanishes there and so does the Hicks denominator; it
+    # overflows for x1 above 1.36, later in grid order.
+    spec = FunctionSpec(2, Var(0) + Var(1) + Exp(Mul(Const(2000.0), Var(0)) + Const(-2000.0)))
+    grid = default_grid(2)
+    with pytest.raises(DomainViolation, match="exp overflow") as jets:
+        grid_jet(spec, grid.coords())
+    assert jets.value.point != grid.points()[0]
+    first = grid.points()[0]
+    with pytest.raises(DegenerateDenominator) as exc:
+        estimate_sigma(spec, grid)
+    assert exc.value.point == first
+    assert str(exc.value) == f"substitution denominator is numerically zero for inputs 1, 2 at point {first.coords}"
 
 
 def test_estimate_sigma_transcendental_with_growth_terms_is_not_ces():

@@ -111,7 +111,15 @@ def test_grid_flags_apply_where_the_default_grid_exceeds_the_cap(capsys):
 
 @pytest.mark.parametrize(
     "field",
-    [{"params": {"A": "x"}}, {"params": [1]}, {"inners": 5}],
+    [
+        {"params": {"A": "x"}},
+        {"params": [1]},
+        {"inners": 5},
+        # integer literals beyond the float range
+        {"body": ["add", ["var", 0], ["const", 10**400]]},
+        {"body": ["add", ["var", 1], ["pow", ["var", 0], 10**400]]},
+        {"params": {"A": 10**400}},
+    ],
 )
 def test_malformed_spec_document_exits_2(capsys, monkeypatch, field):
     import io
@@ -314,7 +322,38 @@ def test_analyze_names_the_first_failing_point(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            # (x1 x2)^-150 + x1 + exp(-40 x2)
+            ["add", ["add", ["pow", ["mul", ["var", 0], ["var", 1]], -150], ["var", 0]],
+             ["exp", ["mul", ["const", -40], ["var", 1]]]],
+            "slope factor power overflows: 9.825284580896037e+79 ** 4"
+            " at point (0.5520447568369061, 0.5520447568369061)",
+        ),
+        (
+            # (1.5 - x1)^0.5 + exp(-40 x2)
+            ["add", ["pow", ["add", ["const", 1.5], ["neg", ["var", 0]]], 0.5],
+             ["exp", ["mul", ["const", -40], ["var", 1]]]],
+            "marginal product of x2 is numerically zero (-2.245821599253149e-13)"
+            " at point (0.5520447568369061, 0.820335356007638)",
+        ),
+    ],
+    ids=["slope_overflow_first", "zero_marginal_first"],
+)
+def test_classify_and_analyze_name_the_same_first_failing_point(capsys, monkeypatch, body, message):
+    import io
+
+    doc = {"n": 2, "family": "custom", "body": body}
+    classify = _classify_stdin(capsys, monkeypatch, doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    analyze = run(capsys, "analyze", "--spec", "-")
+    assert classify == analyze == (3, "", f"evaluation error: {message}\n")
+
+
 def test_analyze_evaluates_the_grid_at_once(capsys, monkeypatch):
+    import prodgeo.classifier
     import prodgeo.geometry
     import prodgeo.jets
     import prodgeo.reports
@@ -329,7 +368,7 @@ def test_analyze_evaluates_the_grid_at_once(capsys, monkeypatch):
 
     for module in (prodgeo.jets, prodgeo.reports, prodgeo.geometry):
         monkeypatch.setattr(module, "jet", counting("jet", module.jet))
-    monkeypatch.setattr(prodgeo.reports, "grid_jet", counting("grid_jet", prodgeo.reports.grid_jet))
+    monkeypatch.setattr(prodgeo.classifier, "grid_jet", counting("grid_jet", prodgeo.classifier.grid_jet))
     rc, out, _ = run(capsys, "analyze", "--family", "acms", "--params", "A=1,k=1:0.5:0.7,rho=0.5,gamma=0.9")
     assert rc == 0 and len(json.loads(out)["rows"]) == 7**3 + 32
     assert calls == {"jet": 0, "grid_jet": 1}

@@ -85,6 +85,10 @@ def test_construction_validation():
         Const(math.nan)
     with pytest.raises(ExpressionError):
         Var(-1)
+    with pytest.raises(ExpressionError, match="constant must be finite, got an integer beyond the float range"):
+        Const(10**400)
+    with pytest.raises(ExpressionError, match="power exponent must be finite, got an integer beyond the float range"):
+        Pow(Var(0), 10**400)
 
 
 def test_variables_and_substitute():

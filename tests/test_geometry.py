@@ -2,6 +2,7 @@
 identity, and structural invariants of the curvature quantities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,10 +301,13 @@ def test_slope_factor_overflow_is_a_domain_violation():
     # w is about 1.2e93 at this point, so w ** 5 overflows a float.
     spec = FunctionSpec(3, Pow(Var(0), -300.0) + Pow(Var(1), 2.0) + Pow(Var(2), 2.0))
     p = (0.5, 1.0, 1.0)
-    with pytest.raises(DomainViolation, match="slope factor power overflows"):
-        gauss_kronecker(jet(spec, p))
-    with pytest.raises(DomainViolation, match="slope factor power overflows"):
-        curvature_sample(spec, p)
+    with warnings.catch_warnings():
+        # the sectional curvature at p overflows; the error comes first
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation, match="slope factor power overflows"):
+            gauss_kronecker(jet(spec, p))
+        with pytest.raises(DomainViolation, match="slope factor power overflows"):
+            curvature_sample(spec, p)
 
 
 def test_gradient_norm_overflow_is_a_domain_violation():
@@ -311,10 +315,11 @@ def test_gradient_norm_overflow_is_a_domain_violation():
     j = jet(build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)}), (1.0, 1.0))
     assert np.all(np.isfinite(j.gradient))
     for indicator in (gauss_kronecker, slope_w, mean_curvature_of_jet, minimality_residual):
-        # gauss_kronecker's determinant overflows before w is needed
-        with np.errstate(over="ignore"), pytest.raises(
+        # the Hessian determinant overflows; the error comes first
+        with warnings.catch_warnings(), pytest.raises(
             DomainViolation, match=r"\|grad f\|\^2 overflows \(largest \|partial\| 1e\+200\)"
         ):
+            warnings.simplefilter("error")
             indicator(j)
 
 
