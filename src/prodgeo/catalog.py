@@ -49,6 +49,7 @@ from .expr import (
     expr_to_obj,
     product_chain,
     substitute,
+    sum_chain,
     variables,
 )
 from .jets import gradient_norm_sq, propagate, univariate_jet
@@ -194,10 +195,7 @@ def _build_acms(params: dict) -> FunctionSpec:
     if rho == 0.0:
         raise ParameterViolation("acms: rho must be nonzero")
     terms = [Mul(Const(ki), Pow(Var(i), rho)) for i, ki in enumerate(k)]
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    body = Mul(Const(A), Pow(acc, gamma / rho))
+    body = Mul(Const(A), Pow(sum_chain(terms), gamma / rho))
     return FunctionSpec(
         n=len(k),
         body=body,
@@ -344,7 +342,9 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     of more axes raises ParameterViolation.  Reports, per point:
     non-positive or failing evaluations, vanishing first partials, and
     for composite functions a vanishing outer derivative, vanishing inner
-    derivatives or non-positive inner values.  Diagnostics are the
+    derivatives or non-positive inner values.  The outer and inner
+    derivatives vanish where their elasticities, u F'(u) / F(u) and
+    x_i g_i'(x_i) / g_i(x_i), are within 1e-12 of zero.  Diagnostics are the
     output; nothing raises for a bad function, only for a bad region.
     Blocks of points are evaluated at once, and a block where a point
     fails again one point at a time.
@@ -397,13 +397,13 @@ def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagn
             u, regular = 1.0, True
             for i, inner in enumerate(spec.inners):
                 gv, gd, _ = univariate_jet(inner, coords[i])
-                zero = abs(gd) <= ZERO_MARGINAL_RTOL * (1.0 + abs(gv))
+                zero = abs(coords[i] * gd) <= ZERO_MARGINAL_RTOL * abs(gv)
                 checks.append((gv <= 0.0, "inner_nonpositive", f"g{i + 1} = {{!r}}", i, gv))
                 checks.append((zero, "zero_inner_derivative", f"g{i + 1}' = {{!r}}", i, gd))
                 regular &= ~(gv <= 0.0)
                 u = u * gv
-            _, fd1, _ = univariate_jet(spec.outer, u)
-            zero = regular & (abs(fd1) <= ZERO_MARGINAL_RTOL)
+            fv, fd1, _ = univariate_jet(spec.outer, u)
+            zero = regular & (abs(u * fd1) <= ZERO_MARGINAL_RTOL * abs(fv))
             checks.append((zero, "zero_outer_derivative", "F' = {!r}", None, fd1))
     found = []
     for k in np.flatnonzero(np.any([mask for mask, *_ in checks], axis=0)):

@@ -281,10 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except EVALUATION_ERRORS as e:
-        msg = str(e)
-        if getattr(e, "point", None) is not None and "at point" not in msg:
-            msg += f" at point {tuple(e.point.coords)}"
-        print(f"evaluation error: {msg}", file=sys.stderr)
+        print(f"evaluation error: {e}", file=sys.stderr)
         return 3
 
 

@@ -37,10 +37,6 @@ __all__ = [
     "Pow",
     "Exp",
     "Ln",
-    "const",
-    "var",
-    "exp",
-    "ln",
     "product_chain",
     "sum_chain",
     "variables",
@@ -185,22 +181,6 @@ def _coerce(x) -> Expr:
     if isinstance(x, (int, float)):
         return Const(float(x))
     raise ExpressionError(f"cannot use {x!r} in an expression")
-
-
-def const(value: float) -> Const:
-    return Const(float(value))
-
-
-def var(index: int) -> Var:
-    return Var(index)
-
-
-def exp(x) -> Exp:
-    return Exp(_coerce(x))
-
-
-def ln(x) -> Ln:
-    return Ln(_coerce(x))
 
 
 def product_chain(factors) -> Expr:

@@ -14,7 +14,10 @@ the expression tree serves the grid (vector forward mode).  Each point
 of a grid jet equals the one-point jet there bit for bit: the rules use
 only elementwise IEEE arithmetic, and the transcendental primitives
 apply ``math.exp``, ``math.log`` and ``math.pow`` to one float at a
-time, because numpy's vectorized versions round differently.
+time, because numpy's vectorized versions round differently.  A grid
+jet that fails a check at some point raises that check's error for the
+whole grid, naming no point; ``classifier.grid_pass`` searches the grid
+for the first failing point.
 
 A central finite-difference oracle with O(h^2) error is provided as an
 independent cross-check; it is used by the test suite and never by the
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, ProdGeoError, StencilOutOfDomain
+from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from .expr import Expr, eval_expr, eval_value, variables
 from .linalg import quadratic_form
 from .points import as_point
@@ -309,20 +312,13 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
     ``coords`` is (n, P): column k holds the coordinates of point k, a
     point of the positive orthant.  The result carries a trailing point
     axis and equals ``jet()`` at each point bit for bit.  Memory grows
-    linearly in P.  A failure at any point raises the error of the first
-    failing point, as ``jet()`` at the points in order does.
+    linearly in P.  A failure at any point raises the error of a failing
+    point, without the point; ``classifier.grid_pass`` names the first.
     """
     if coords.shape[0] != spec.n:
         raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
-    # Points that fail a check carry inf or NaN onward until it raises;
-    # then jet() at each point in order raises the first failing point's error.
-    try:
-        with np.errstate(all="ignore"):
-            return _checked(propagate(spec, coords))
-    except ProdGeoError:
-        for p in coords.T.tolist():
-            jet(spec, p)
-        raise
+    with np.errstate(all="ignore"):
+        return _checked(propagate(spec, coords))
 
 
 def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, PointValues]:

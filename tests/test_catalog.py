@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -327,6 +328,36 @@ def test_validate_rejects_more_than_sixteen_axes():
 def test_validate_zero_partial_is_scale_free():
     findings = validate(build_family("cobb_douglas", {"A": 1e-13, "k": [0.4, 0.6]}), [(0.5, 2.0)] * 2)
     assert [d for d in findings if d.code == "zero_partial"] == []
+
+
+#: (spec, the zero_inner/zero_outer findings over [0.5, 2]^2 by code).
+#: Both tests compare an elasticity, x g' / g or u F' / F, with 1e-12.
+ZERO_PART_CASES = {
+    # F' = A is tiny but F = A u: elasticity 1
+    "cobb_douglas_tiny_A": (build_family("cobb_douglas", {"A": 1e-13, "k": (0.4, 0.6)}), {}),
+    # g' is tiny but g = 1e-13 x^0.4 too: elasticity 0.4
+    "tiny_inner": (build_quasi_product(Var(0), [Mul(Const(1e-13), Pow(Var(0), 0.4)), Pow(Var(0), 0.6)]), {}),
+    # F' = 2 (u - 1) vanishes at the 5 points where x1 x2 = 1
+    "turning_outer": (
+        build_quasi_product(Pow(Var(0) - 1.0, 2.0) + Const(1.0), [Var(0), Var(0)]),
+        {"zero_outer_derivative": 5},
+    ),
+    # elasticity exactly 1e-12: rounding puts 15 of the 25 points on or below it
+    "borderline_inner": (
+        build_quasi_product(Var(0), [Mul(Const(1e13), Pow(Var(0), 1e-12)), Var(0)]),
+        {"zero_inner_derivative": 15},
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, counts", ZERO_PART_CASES.values(), ids=ZERO_PART_CASES.keys())
+def test_validate_inner_and_outer_zero_tests_are_scale_free(spec, counts):
+    findings = validate(spec, [(0.5, 2.0)] * 2)
+    zero_parts = [d for d in findings if d.code in ("zero_inner_derivative", "zero_outer_derivative")]
+    assert Counter(d.code for d in zero_parts) == counts
+    for d in zero_parts:
+        if d.code == "zero_outer_derivative":
+            assert d.point[0] * d.point[1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

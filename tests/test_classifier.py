@@ -24,7 +24,7 @@ from prodgeo.errors import (
     ProdGeoError,
     ZeroMarginalProduct,
 )
-from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
+from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from prodgeo.jets import grid_jet, jet
 
 
@@ -225,8 +225,7 @@ def test_classify_propagates_errors_with_point():
     assert exc.value.point is not None
 
     # The grid is evaluated at once, but the error names the first
-    # failing point in grid order, with jet()'s message there (which
-    # already carries the point; the CLI appends it when rendering).
+    # failing point in grid order, with jet()'s message there and the point.
     late = FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Var(1))
     grid = default_grid(2)
     first_bad = next(p for p in grid.points() if p[0] > 1.5)
@@ -236,7 +235,7 @@ def test_classify_propagates_errors_with_point():
     with pytest.raises(DomainViolation) as direct:
         jet(late, first_bad)
     assert exc.value.point == first_bad
-    assert str(exc.value) == str(direct.value)
+    assert str(exc.value) == f"{direct.value} at point {first_bad.coords}"
 
     # Substitution errors: the point and message of a loop over the
     # public per-point calls, in the order classify makes them.
@@ -253,6 +252,35 @@ def test_classify_propagates_errors_with_point():
         point, message = _first_substitution_error(spec, grid)
         assert exc.value.point == point
         assert str(exc.value) == f"{message} at point {point.coords}"
+
+
+def test_a_late_jets_failure_is_found_by_halving_the_grid(monkeypatch):
+    # 1.69 - x1 is negative only at jitter points of the 4,128-point grid.
+    import prodgeo.jets
+
+    spec = FunctionSpec(6, sum_chain([Pow(Var(i), 0.5) for i in range(6)] + [Pow(Const(1.69) - Var(0), 0.5)]))
+    grid = default_grid(6)
+    coords = grid.coords()
+    first_bad = grid.points()[int(np.flatnonzero(1.69 - coords[0] <= 0.0)[0])]
+    with pytest.raises(DomainViolation) as direct:
+        jet(spec, first_bad)
+
+    calls = {"jet": 0, "propagate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(prodgeo.jets, name, counting(name, getattr(prodgeo.jets, name)))
+    with pytest.raises(DomainViolation) as exc:
+        classify(spec, grid)
+    assert exc.value.point == first_bad
+    assert str(exc.value) == f"{direct.value} at point {first_bad.coords}"
+    assert calls["jet"] == 0
+    assert calls["propagate"] <= 2 * math.ceil(math.log2(coords.shape[1]))
 
 
 def test_classify_names_the_first_point_of_a_curvature_overflow():

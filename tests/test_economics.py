@@ -341,8 +341,7 @@ def test_grid_reports_raise_the_error_of_a_loop_over_the_points(spec, error):
             direct = e
             break
     assert type(direct) is error and exc.value.point == p
-    # jet() names the point itself, and the CLI appends it when rendering.
-    assert str(exc.value) == (str(direct) if direct.point is not None else f"{direct} at point {p.coords}")
+    assert str(exc.value) == f"{direct} at point {p.coords}"
 
 
 @pytest.mark.parametrize(

@@ -149,16 +149,16 @@ def _reference_validate(spec, region):
             if gv <= 0.0:
                 findings.append(Diagnostic(point, "inner_nonpositive", f"g{i + 1} = {gv!r}", axis=i, value=gv))
                 ok = False
-            if abs(gd) <= ZERO_MARGINAL_RTOL * (1.0 + abs(gv)):
+            if abs(point[i] * gd) <= ZERO_MARGINAL_RTOL * abs(gv):
                 findings.append(Diagnostic(point, "zero_inner_derivative", f"g{i + 1}' = {gd!r}", axis=i, value=gd))
             u *= gv
         if ok:
             try:
-                _, fd1, _ = univariate_jet(spec.outer, u)
+                fv, fd1, _ = univariate_jet(spec.outer, u)
             except DomainViolation as e:
                 findings.append(Diagnostic(point, "evaluation_error", str(e)))
                 continue
-            if abs(fd1) <= ZERO_MARGINAL_RTOL:
+            if abs(u * fd1) <= ZERO_MARGINAL_RTOL * abs(fv):
                 findings.append(Diagnostic(point, "zero_outer_derivative", f"F' = {fd1!r}", value=fd1))
     return findings
 

@@ -271,9 +271,9 @@ def test_grid_jet_of_constant_body_and_failures():
     const = grid_jet(FunctionSpec(2, Const(3.0)), coords)
     assert const.value.tolist() == [3.0, 3.0]
     assert not const.gradient.any() and not const.hessian.any()
-    # A failure at one point raises for the grid, naming the first failing point.
+    # A failure at one point raises for the grid, with the failing value.
     with pytest.raises(DomainViolation) as exc:
         grid_jet(FunctionSpec(2, Pow(Const(1.2) - Var(0), 0.5) + Var(1)), np.array([[0.5, 1.5, 2.0], [1.0, 1.0, 1.0]]))
-    assert exc.value.point.coords == (1.5, 1.0)
+    assert str(exc.value) == f"real power of non-positive base {1.2 - 1.5!r}"
     with pytest.raises(ArityMismatch):
         grid_jet(FunctionSpec(2, Var(0) + Var(1)), np.ones((3, 4)))
