@@ -397,13 +397,13 @@ def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagn
             u, regular = 1.0, True
             for i, inner in enumerate(spec.inners):
                 gv, gd, _ = univariate_jet(inner, coords[i])
-                zero = abs(coords[i] * gd) <= ZERO_MARGINAL_RTOL * abs(gv)
+                zero = np.isfinite(gv) & (abs(coords[i] * gd) <= ZERO_MARGINAL_RTOL * abs(gv))
                 checks.append((gv <= 0.0, "inner_nonpositive", f"g{i + 1} = {{!r}}", i, gv))
                 checks.append((zero, "zero_inner_derivative", f"g{i + 1}' = {{!r}}", i, gd))
                 regular &= ~(gv <= 0.0)
                 u = u * gv
             fv, fd1, _ = univariate_jet(spec.outer, u)
-            zero = regular & (abs(u * fd1) <= ZERO_MARGINAL_RTOL * abs(fv))
+            zero = regular & np.isfinite(fv) & (abs(u * fd1) <= ZERO_MARGINAL_RTOL * abs(fv))
             checks.append((zero, "zero_outer_derivative", "F' = {!r}", None, fd1))
     found = []
     for k in np.flatnonzero(np.any([mask for mask, *_ in checks], axis=0)):

@@ -179,7 +179,8 @@ class TolerancePolicy:
 class PropertyVerdict:
     """One predicate checked over the grid.
 
-    ``holds`` is true exactly when ``worst_value <= threshold_used``.
+    ``holds`` is true exactly when ``worst_value <= threshold_used``, or
+    ``>=`` for a negative control (a name that starts with ``non``).
     ``estimate`` carries the grid mean for constancy-type properties
     (the sigma estimate for the CES property)."""
 
@@ -225,9 +226,15 @@ class ClassificationVerdict:
         }
 
 
-def _witness(coords: np.ndarray, k: Optional[int]) -> Optional[Point]:
-    """Point ``k`` of the (n, P) ``coords``, or None for no witness."""
-    return None if k is None else Point(tuple(coords[:, k].tolist()))
+def _verdict(
+    name: str, observed: float, witness: Optional[int], threshold: float, coords: np.ndarray, estimate=None
+) -> PropertyVerdict:
+    """The verdict ``name`` on a grid's ``observed`` value and its
+    ``threshold``, by the rule of PropertyVerdict; ``witness`` is the
+    index of its point in the (n, P) ``coords``, or None for no witness."""
+    holds = observed >= threshold if name.startswith("non") else observed <= threshold
+    point = None if witness is None else Point(tuple(coords[:, witness].tolist()))
+    return PropertyVerdict(name, bool(holds), point, float(observed), float(threshold), estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ def _pass(spec: FunctionSpec, coords: np.ndarray, indicators):
         if coords.shape[1] > 1:
             for half in np.array_split(coords, 2, axis=1):
                 _pass(spec, half, indicators)
-        elif e.point is None:
+        else:
             e.point = Point(tuple(coords[:, 0].tolist()))
             e.args = (f"{e.args[0]} at point {e.point.coords}",) + e.args[1:]
         raise
@@ -279,14 +286,22 @@ def _largest(a: np.ndarray) -> tuple[float, Optional[int]]:
 
 def _smallest(a: np.ndarray) -> tuple[float, Optional[int]]:
     """The smallest entry of the (P, m) array ``a`` and its first point's index."""
-    per_point = np.where(np.isnan(a), np.inf, a).min(axis=1, initial=np.inf)
-    k = int(np.argmin(per_point))
-    return (float(per_point[k]), k) if per_point[k] < np.inf else (math.inf, None)
+    value, k = _largest(-a)
+    return -value, k
 
 
-def _noise(a: np.ndarray) -> float:
-    """The largest entry of a noise scale over the grid; NaN is skipped."""
-    return float(np.where(np.isnan(a), 0.0, a).max(initial=0.0))
+def _bound(tol: TolerancePolicy, noise: np.ndarray) -> float:
+    """The zero threshold of a quantity with noise scale ``noise`` over
+    the grid: the absolute floor plus the relative part times the
+    largest noise, NaN skipped."""
+    return tol.zero_abs + tol.zero_rel * float(np.where(np.isnan(noise), 0.0, noise).max(initial=0.0))
+
+
+def _mean_spread(values: np.ndarray) -> tuple[float, float]:
+    """The mean and (max - min) spread of ``values``, by Python's float
+    arithmetic over the entries in grid order."""
+    flat = values.ravel().tolist()
+    return sum(flat) / len(flat), max(flat) - min(flat)
 
 
 def _curvature_stats(
@@ -294,8 +309,8 @@ def _curvature_stats(
 ) -> dict[str, tuple[float, Optional[int], float]]:
     """Every curvature check over the grid, in one pass.
 
-    Maps each check of CHECKS to its observed value, witness index and
-    bound: the maximum of |quantity| against its noise-scaled zero
+    Maps each curvature verdict name to its observed value, witness index
+    and bound: the maximum of |quantity| against its noise-scaled zero
     threshold for the vanishing checks, and for the two negative
     controls the minimum of |K| and of each point's largest |Riemann
     component| against ten times the threshold.
@@ -322,14 +337,14 @@ def _curvature_stats(
     s_noise = minor_noise / np.stack(
         [w2 * (1.0 + g[:, i] * g[:, i] + g[:, k] * g[:, k]) for i, k in pairs(n)], axis=1
     )
-    k_bound = tol.zero_abs + tol.zero_rel * _noise(k_noise)
-    r_bound = tol.zero_abs + tol.zero_rel * _noise(r_noise)
+    k_bound = _bound(tol, k_noise)
+    r_bound = _bound(tol, r_noise)
     pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
     return {
         "vanishing_gk": (*_largest(abs_k), k_bound),
         "flat": (*_largest(abs_r), r_bound),
-        "minimal": (*_largest(abs_h), tol.zero_abs + tol.zero_rel * _noise(h_noise)),
-        "vanishing_sectional": (*_largest(abs_s), tol.zero_abs + tol.zero_rel * _noise(s_noise)),
+        "minimal": (*_largest(abs_h), _bound(tol, h_noise)),
+        "vanishing_sectional": (*_largest(abs_s), _bound(tol, s_noise)),
         "nonvanishing_gk": (*_smallest(abs_k), 10.0 * k_bound),
         "nonflat_everywhere": (*_smallest(pointwise_max_r), 10.0 * r_bound),
     }
@@ -351,28 +366,23 @@ def _substitution_stats(
 # classify
 # ---------------------------------------------------------------------------
 
+#: The curvature verdicts classify reports, in their order of output.
+_CURVATURE_VERDICTS = ("vanishing_gk", "flat", "minimal", "vanishing_sectional")
+
+
 def _constancy_verdict(
     name: str, values: np.ndarray, coords: np.ndarray, tol: TolerancePolicy
 ) -> PropertyVerdict:
     """Verdict on the (P, m) ``values`` being constant over the grid; the
     witness is the first point of largest deviation from the mean."""
-    flat = values.ravel().tolist()
-    mean = sum(flat) / len(flat)
-    spread = max(flat) - min(flat)
+    mean, spread = _mean_spread(values)
     deviation = np.abs(values - mean).ravel()
     worst = int(np.argmax(np.where(np.isnan(deviation), -np.inf, deviation)))
     if abs(mean) < tol.zero_abs:
         observed, threshold = spread, tol.zero_abs
     else:
         observed, threshold = spread / abs(mean), tol.constancy_rel
-    return PropertyVerdict(
-        name=name,
-        holds=bool(observed <= threshold),
-        worst_point=_witness(coords, worst // values.shape[1]),
-        worst_value=float(observed),
-        threshold_used=float(threshold),
-        estimate=float(mean),
-    )
+    return _verdict(name, observed, worst // values.shape[1], threshold, coords, estimate=mean)
 
 
 def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy] = None) -> ClassificationVerdict:
@@ -387,18 +397,8 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     coords, ((elasticities, mrs_dev, hicks), curvature) = grid_pass(
         spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol))
     )
-    bounded = {name: curvature[name] for name in ("vanishing_gk", "flat", "minimal", "vanishing_sectional")}
-    bounded["proportional_mrs"] = (*_largest(mrs_dev), tol.constancy_rel)
-    properties = [
-        PropertyVerdict(
-            name=name,
-            holds=bool(observed <= threshold),
-            worst_point=_witness(coords, witness),
-            worst_value=float(observed),
-            threshold_used=float(threshold),
-        )
-        for name, (observed, witness, threshold) in bounded.items()
-    ]
+    properties = [_verdict(name, *curvature[name], coords) for name in _CURVATURE_VERDICTS]
+    properties.append(_verdict("proportional_mrs", *_largest(mrs_dev), tol.constancy_rel, coords))
     for i in range(spec.n):
         properties.append(
             _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], coords, tol)
@@ -412,23 +412,12 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
     _, (_, _, hicks) = grid_pass(spec, grid, _substitution_stats)
-    values = hicks.ravel().tolist()
-    return sum(values) / len(values), max(values) - min(values)
+    return _mean_spread(hicks)
 
 
 # ---------------------------------------------------------------------------
 # Built-in classification fixture suite
 # ---------------------------------------------------------------------------
-
-#: check name -> what passing means
-CHECKS = {
-    "vanishing_gk": "max |K| within the zero threshold",
-    "nonvanishing_gk": "min |K| at least 10x the zero threshold",
-    "flat": "max |Riemann component| within the zero threshold",
-    "nonflat_everywhere": "some Riemann component exceeds 10x the threshold at every point",
-    "vanishing_sectional": "max |K_ij| within the zero threshold",
-}
-
 
 @dataclass(frozen=True)
 class CatalogFixture:
@@ -591,24 +580,6 @@ def catalog_fixtures() -> list[CatalogFixture]:
     return fixtures
 
 
-def _run_check(
-    fx: CatalogFixture, check: str, curvature: dict[str, tuple[float, Optional[int], float]], coords: np.ndarray
-) -> ExpectationResult:
-    if check not in CHECKS:
-        raise ParameterViolation(f"unknown check {check!r}")
-    observed, witness, bound = curvature[check]
-    passed = observed >= bound if check.startswith("non") else observed <= bound
-    return ExpectationResult(
-        fixture=fx.name,
-        n=fx.spec.n,
-        check=check,
-        passed=bool(passed),
-        observed=float(observed),
-        bound=float(bound),
-        witness=_witness(coords, witness),
-    )
-
-
 def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     """Run every fixture expectation and report pass/fail with the worst
     witness.  Failures are report entries, never exceptions."""
@@ -618,5 +589,8 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
         grid = default_grid(fx.spec.n, seed=fx.seed)
         coords, curvature = grid_pass(fx.spec, grid, lambda j, _: _curvature_stats(j, tol))
         for check in fx.checks:
-            results.append(_run_check(fx, check, curvature, coords))
+            v = _verdict(check, *curvature[check], coords)
+            results.append(
+                ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
+            )
     return CatalogReport(tuple(results))

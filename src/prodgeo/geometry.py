@@ -219,4 +219,7 @@ def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:
                 partial *= s[i]
         correction += r[jdx] * r[jdx] * partial
     bracket = prod_all + (1.0 + u * fd2 / fd1) * correction
-    return (u * fd1) ** n * bracket
+    try:
+        return (u * fd1) ** n * bracket
+    except OverflowError:
+        raise DomainViolation(f"outer slope power overflows: {u * fd1!r} ** {n} at {point.coords}", point=point) from None

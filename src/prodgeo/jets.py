@@ -299,7 +299,8 @@ def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
     if len(point) != spec.n:
         raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
     try:
-        return _checked(propagate(spec, point))
+        with np.errstate(all="ignore"):
+            return _checked(propagate(spec, point))
     except DomainViolation as e:
         if e.point is None:
             e.point = point

@@ -96,6 +96,17 @@ def test_evaluate_requires_positive_orthant():
         evaluate(spec, (1.0, 1.0, 1.0))
 
 
+def test_evaluate_attaches_the_point_to_its_domain_violation():
+    with pytest.raises(DomainViolation, match=r"^non-positive output -1\.0$") as exc:
+        evaluate(FunctionSpec(2, Var(0) - Var(1)), (1.0, 2.0))
+    assert exc.value.point == Point((1.0, 2.0))
+
+
+def test_evaluate_rejects_a_non_finite_output():
+    with pytest.raises(DomainViolation, match="non-finite output inf"):
+        evaluate(FunctionSpec(2, Const(1e300) * Var(0) * Var(1)), (1e10, 1e10))
+
+
 def test_point_validation():
     with pytest.raises(DomainViolation):
         Point((1.0, 0.0))
@@ -358,6 +369,15 @@ def test_validate_inner_and_outer_zero_tests_are_scale_free(spec, counts):
     for d in zero_parts:
         if d.code == "zero_outer_derivative":
             assert d.point[0] * d.point[1] == pytest.approx(1.0)
+
+
+def test_validate_zero_tests_skip_overflowed_values():
+    """Where F(u) = u^3 overflows, F'(u) = 3 u^2 is finite: the elasticity
+    u F' / F is inf / inf, and the point has a nonpositive_output finding,
+    not a zero_outer_derivative one."""
+    spec = build_quasi_product(Pow(Var(0), 3.0), [Pow(Var(0), 60.0)] * 2)
+    findings = validate(spec, [(0.5, 200.0)] * 2)
+    assert Counter(d.code for d in findings) == {"zero_partial": 30, "nonpositive_output": 15, "evaluation_error": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,16 @@ def test_classify_single_factor_constant_elasticity():
     assert not verdict.holds("constant_elasticity_x2")
 
 
+def test_constancy_of_a_near_zero_mean_is_judged_by_its_absolute_spread():
+    """The output elasticity k1 = 1e-10 has |mean| below zero_abs, so its
+    spread is compared with zero_abs instead of spread / |mean|."""
+    spec = build_family("cobb_douglas", {"A": 1.0, "k": (1e-10, 0.5)})
+    e1 = classify(spec, default_grid(2)).property("constant_elasticity_x1")
+    assert e1.holds
+    assert e1.threshold_used == 1e-9
+    assert e1.estimate == 9.999999999999999e-11
+
+
 def test_classify_homothetic_power_product():
     """Any outer over a common-power product keeps the proportional MRS,
     is nowhere minimal, and is CES with unit elasticity."""

@@ -252,6 +252,14 @@ def test_quasi_product_det_degenerate_outer():
         quasi_product_hessian_det(spec, (1.0, 2.0))
 
 
+def test_quasi_product_det_overflow_is_a_domain_violation():
+    # (u F')^n = (1e200)^2 overflows at u = 1
+    spec = build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)})
+    with pytest.raises(DomainViolation, match=r"outer slope power overflows: 1e\+200 \*\* 2 at \(1\.0, 1\.0\)") as exc:
+        quasi_product_hessian_det(spec, (1.0, 1.0))
+    assert exc.value.point.coords == (1.0, 1.0)
+
+
 def test_quasi_product_det_matches_generic_on_random_fixtures():
     rng = np.random.default_rng(20260808)
 

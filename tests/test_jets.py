@@ -3,6 +3,7 @@ oracle, plus the chain-rule assembly cross-check for composite
 functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
 from prodgeo.classifier import catalog_fixtures, default_grid
 from prodgeo.errors import ArityMismatch, DomainViolation, StencilOutOfDomain
-from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
+from prodgeo.expr import Const, Div, Exp, Ln, Mul, Pow, Var
 from prodgeo.jets import fd_oracle, grid_jet, jet, univariate_jet
+from prodgeo.reports import geometry_report
 
 FAMILY_SPECS = [
     build_family("cobb_douglas", {"A": 1.7, "k": (0.6, -0.4)}),
@@ -84,6 +86,23 @@ def test_jet_propagates_domain_violation():
     tiny_base = FunctionSpec(2, Pow(Mul(Const(1e-300), Var(0)), 0.5) + Var(1))
     with pytest.raises(DomainViolation):
         jet(tiny_base, (1.0, 1.0))
+
+
+def test_division_by_the_constant_zero_is_a_domain_violation():
+    with pytest.raises(DomainViolation, match="division by zero"):
+        jet(FunctionSpec(2, Div(Var(0) + Var(1), Const(0.0))), (1.0, 1.0))
+
+
+def test_jet_overflow_is_a_domain_violation_without_warnings():
+    """The derivatives of (1e300 x1)(1e300 x2) overflow although f is about 1."""
+    spec = FunctionSpec(2, (Const(1e300) * Var(0)) * (Const(1e300) * Var(1)))
+    p = (1e-300, 1e-300)
+    for call in (jet, geometry_report):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="non-finite derivative") as exc:
+                call(spec, p)
+        assert exc.value.point.coords == p
 
 
 def test_ln_of_tiny_value_is_a_domain_violation():

@@ -1,0 +1,290 @@
+"""Parity battery: a fixed list of CLI and library cases, one output line each.
+
+    python tools/parity.py                # run the cases on this tree's src/
+    python tools/parity.py --against DIR  # run this tree and DIR, list the cases that differ
+
+Every case runs in one interpreter, in process:
+
+* a CLI case calls ``prodgeo.cli.main(argv)`` with stdin, stdout and
+  stderr redirected, and prints ``<id> stdout=<sha256> stderr=<sha256>
+  exit=<code>``;
+* a library case calls the library with RuntimeWarnings raised as errors,
+  as the test suite does, and prints ``<id> <repr>`` of its result or
+  error, or ``<id> sha256=<digest>`` of that repr when it is longer than
+  200 characters.  Arrays and numpy scalars are shown as Python floats, so
+  the repr has every bit.
+
+``--against DIR`` runs the battery in a fresh interpreter on each tree's
+``src/``, prints the id of every case whose line differs, and exits 1 if
+any does.  The cases come from this file and ``bench/specgen.py`` of this
+tree in both runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: (id, family, params) of the catalog functions the CLI and library cases use.
+FAMILIES = [
+    ("cobb_douglas_k0.4_0.6", "cobb_douglas", "A=1,k=0.4:0.6"),
+    ("cobb_douglas_k0.7_0.7_A1", "cobb_douglas", "A=1,k=0.7:0.7"),
+    ("cobb_douglas_k0.7_0.7_A1e-6", "cobb_douglas", "A=1e-6,k=0.7:0.7"),
+    ("cobb_douglas_k0.7_0.7_A1e100", "cobb_douglas", "A=1e100,k=0.7:0.7"),
+    ("cobb_douglas_k0.2_0.3_0.4", "cobb_douglas", "A=1,k=0.2:0.3:0.4"),
+    ("cobb_douglas_A1e13", "cobb_douglas", "A=1e13,k=0.4:0.6"),
+    ("cobb_douglas_A1e100_k1_1", "cobb_douglas", "A=1e100,k=1:1"),
+    ("cobb_douglas_A1e200_k1_1", "cobb_douglas", "A=1e200,k=1:1"),
+    ("spillman", "spillman", "A=1,a=1:1"),
+    ("acms_3in", "acms", "A=1,k=1:0.5:0.25,rho=2,gamma=1"),
+    ("acms_6in", "acms", "A=1.2,k=1:0.5:0.25:0.7:0.9:0.4,rho=2,gamma=1.5"),
+    ("transcendental", "transcendental", "A=1.1,a=0.5:0.3,b=0.2:-0.3"),
+]
+
+
+def _document(n: int, *terms) -> str:
+    """The spec document of the sum of ``terms``, prefix arrays over n inputs."""
+    body = terms[0]
+    for term in terms[1:]:
+        body = ["add", body, term]
+    return json.dumps({"n": n, "family": "custom", "body": body})
+
+
+def _sqrt_of_shift(c: float, i: int) -> list:
+    return ["pow", ["add", ["const", c], ["neg", ["var", i]]], 0.5]
+
+
+#: (id, spec document) of the custom functions given on stdin.
+DOCUMENTS = [
+    # (1.5 - x1)^0.5 + exp(-40 x2): classify and analyze name the same first failing point
+    ("sqrt_and_exp", _document(2, _sqrt_of_shift(1.5, 0), ["exp", ["mul", ["const", -40], ["var", 1]]])),
+    # x1^0.5 + ... + x6^0.5 + (1.69 - x1)^0.5: a late jets failure on the 4,128-point grid
+    ("late_failure_6in", _document(6, *(["pow", ["var", i], 0.5] for i in range(6)), _sqrt_of_shift(1.69, 0))),
+    # an integer literal beyond the float range
+    ("huge_integer_literal", '{"n": 2, "family": "custom", "body": ["const", 1' + "0" * 400 + "]}"),
+]
+
+
+def cli_cases():
+    """(id, argv, stdin) of every CLI case."""
+    cases = []
+    for fmt in ("json", "csv"):
+        for command in ("classify", "analyze"):
+            for name, family, params in FAMILIES:
+                argv = [command, "--family", family, "--params", params, "--format", fmt]
+                cases.append((f"cli/{command}/{name}/{fmt}", argv, ""))
+            for name, doc in DOCUMENTS:
+                cases.append((f"cli/{command}/{name}/{fmt}", [command, "--spec", "-", "--format", fmt], doc))
+        for tol in ("default", "1e-20", "1e-3"):
+            argv = ["verify", "--format", fmt] + (["--tol-zero", tol] if tol != "default" else [])
+            cases.append((f"cli/verify/tol_zero_{tol}/{fmt}", argv, ""))
+    cd = ["--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6"]
+    for name, argv in [
+        ("unknown_parameter", ["classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6,zzz=3"]),
+        ("box_reversed", ["classify", *cd, "--box", "2:1"]),
+        ("box_ratio_overflows", ["classify", *cd, "--box", "1e-300:1e300"]),
+        ("box_subnormal", ["classify", *cd, "--box", "5e-324:1e-323"]),
+        ("box_below_normal", ["classify", *cd, "--box", "1e-310:1e-300"]),
+        ("spillman_wide_box", ["analyze", "--family", "spillman", "--params", "A=1,a=1:1", "--box", "0.1:10"]),
+        ("points_per_axis_3", ["classify", *cd, "--points-per-axis", "3", "--seed", "5", "--format", "csv"]),
+        ("tol_const", ["classify", "--family", "spillman", "--params", "A=1,a=1:1", "--tol-const", "0.5"]),
+        ("no_function", ["classify"]),
+        ("unknown_family", ["classify", "--family", "nope"]),
+    ]:
+        cases.append((f"cli/input/{name}", argv, ""))
+    return cases
+
+
+def library_cases():
+    """(id, thunk) of every library case."""
+    import specgen
+
+    from prodgeo import (
+        build_family,
+        build_quasi_product,
+        classify,
+        default_grid,
+        estimate_sigma,
+        evaluate,
+        geometry_report,
+        jet,
+        quasi_product_hessian_det,
+        spec_from_json,
+        validate,
+        verify_catalog,
+    )
+    from prodgeo.catalog import FunctionSpec
+    from prodgeo.classifier import SampleGrid, TolerancePolicy
+    from prodgeo.cli import _FAMILY_ALIASES, _parse_params
+    from prodgeo.economics import allen_determinant, allen_elasticity
+    from prodgeo.expr import Const, Div, Ln, Mul, Pow, Var, sum_chain
+    from prodgeo.geometry import hessian_determinant
+
+    cases = [
+        ("verify_catalog/default", verify_catalog),
+        ("verify_catalog/tol_zero_1e-20", lambda: verify_catalog(TolerancePolicy(zero_abs=1e-20, zero_rel=1e-20))),
+    ]
+    for name, family, params in FAMILIES:
+        spec = build_family(_FAMILY_ALIASES.get(family, family), _parse_params(params))
+        cases.append((f"classify/{name}", lambda s=spec: classify(s, default_grid(s.n))))
+        cases.append((f"estimate_sigma/{name}", lambda s=spec: estimate_sigma(s, default_grid(s.n))))
+    for a in range(-12, 13, 2):
+        spec = build_family("cobb_douglas", {"A": 10.0**a, "k": (0.7, 0.7)})
+        cases.append((f"classify/cobb_douglas_k0.7_0.7_A1e{a}", lambda s=spec: classify(s, default_grid(2))))
+    for index in range(30):
+        inp = specgen.spec_input(0, index)
+        spec = spec_from_json(inp.doc)
+        cases.append((f"specgen/{index}/validate", lambda s=spec: validate(s, [specgen.BOX] * s.n)))
+        for k, p in enumerate(inp.probes):
+            cases.append((f"specgen/{index}/jet/{k}", lambda s=spec, p=p: jet(s, p)))
+            cases.append((f"specgen/{index}/evaluate/{k}", lambda s=spec, p=p: evaluate(s, p)))
+            if inp.composite:
+                cases.append((f"specgen/{index}/qp_det/{k}", lambda s=spec, p=p: quasi_product_hessian_det(s, p)))
+
+    overflowing = FunctionSpec(2, (Const(1e300) * Var(0)) * (Const(1e300) * Var(1)))
+    huge_a = build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)})
+
+    def huge_a_jet():
+        return jet(huge_a, (1.0, 1.0))
+
+    ln_region = [(0.5, 4.0)] + [(0.5, 2.0)] * 7
+    cases += [
+        ("repro/evaluate_nonpositive", lambda: evaluate(FunctionSpec(2, Var(0) - Var(1)), (1.0, 2.0))),
+        ("repro/evaluate_non_finite", lambda: evaluate(FunctionSpec(2, Const(1e300) * Var(0) * Var(1)), (1e10, 1e10))),
+        ("repro/jet_division_by_zero", lambda: jet(FunctionSpec(2, Div(Var(0) + Var(1), Const(0.0))), (1.0, 1.0))),
+        ("repro/jet_overflow", lambda: jet(overflowing, (1e-300, 1e-300))),
+        ("repro/geometry_report_overflow", lambda: geometry_report(overflowing, (1e-300, 1e-300))),
+        ("repro/qp_det_A1e200", lambda: quasi_product_hessian_det(huge_a, (1.0, 1.0))),
+        ("repro/hessian_determinant_A1e200", lambda: hessian_determinant(huge_a_jet())),
+        ("repro/allen_determinant_A1e200", lambda: allen_determinant(huge_a_jet())),
+        ("repro/allen_elasticity_A1e200", lambda: allen_elasticity(huge_a_jet(), (1.0, 1.0), 0, 1)),
+        (
+            "repro/classify_near_zero_elasticity",
+            lambda: classify(build_family("cobb_douglas", {"A": 1.0, "k": (1e-10, 0.5)}), default_grid(2)),
+        ),
+        (
+            "repro/validate_overflow",
+            lambda: validate(build_quasi_product(Pow(Var(0), 3.0), [Pow(Var(0), 60.0)] * 2), [(0.5, 200.0)] * 2),
+        ),
+        (
+            "repro/validate_tiny_A",
+            lambda: validate(build_family("cobb_douglas", {"A": 1e-13, "k": (0.4, 0.6)}), [(0.5, 2.0)] * 2),
+        ),
+        (
+            "repro/validate_pow_zero",
+            lambda: validate(
+                build_quasi_product(Pow(Mul(Const(1e-300), Var(0)), 0.5) + 1, [Pow(Var(0), 0.0)] * 2), [(0.5, 2.0)] * 2
+            ),
+        ),
+        (
+            "repro/validate_ln_8in",
+            lambda: validate(FunctionSpec(8, sum_chain([Ln(Const(3.0) - Var(0))] + [Var(i) for i in range(1, 8)])), ln_region),
+        ),
+        ("repro/grid_subnormal", lambda: SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1).points()),
+    ]
+    return cases
+
+
+def _canonical(x):
+    """``x`` as plain Python values: dataclasses by field, arrays as nested
+    lists, numpy scalars as Python numbers."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = (f"{f.name}={_canonical(getattr(x, f.name))}" for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({', '.join(fields)})"
+    if isinstance(x, np.ndarray):
+        return _canonical(x.tolist())
+    if isinstance(x, np.generic):
+        return repr(x.item())
+    if isinstance(x, (list, tuple)):
+        items = ", ".join(_canonical(v) for v in x)
+        return f"[{items}]" if isinstance(x, list) else f"({items})"
+    return repr(x)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_cli(argv, stdin: str) -> str:
+    from prodgeo.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        # A fresh filter list forgets which warnings were shown, as a new process would.
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("default")
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            except Exception as e:  # a traceback in a real run
+                print(f"Traceback: {type(e).__name__}: {e}", file=sys.stderr)
+                code = 1
+    finally:
+        sys.stdin = saved_stdin
+    return f"stdout={_sha(out.getvalue())} stderr={_sha(err.getvalue())} exit={code}"
+
+
+def run_library(thunk) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            text = _canonical(thunk())
+        except Exception as e:
+            text = f"raises {type(e).__name__}({str(e)!r}, point={_canonical(getattr(e, 'point', None))})"
+    return text if len(text) <= 200 else f"sha256={_sha(text)}"
+
+
+def battery(src: str):
+    """Run every case on the prodgeo in ``src`` and print its line."""
+    sys.dont_write_bytecode = True  # leave both trees as they are
+    sys.path[:0] = [src, os.path.join(ROOT, "bench")]
+    import prodgeo
+
+    if not os.path.abspath(prodgeo.__file__).startswith(os.path.abspath(src) + os.sep):
+        sys.exit(f"error: prodgeo was imported from {prodgeo.__file__}, not {src}")
+    for case_id, argv, stdin in cli_cases():
+        print(case_id, run_cli(argv, stdin))
+    for case_id, thunk in library_cases():
+        print(f"lib/{case_id}", run_library(thunk))
+
+
+def _lines(src: str) -> dict[str, str]:
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src], capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.exit(f"error: the battery failed on {src}:\n{run.stderr}")
+    return dict(line.split(" ", 1) for line in run.stdout.splitlines())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src/ directory to import prodgeo from")
+    parser.add_argument("--against", metavar="DIR", help="another checkout to compare this tree with")
+    args = parser.parse_args()
+    if not args.against:
+        battery(args.src)
+        return 0
+    mine, theirs = _lines(os.path.join(ROOT, "src")), _lines(os.path.join(args.against, "src"))
+    differ = [case_id for case_id in {**mine, **theirs} if mine.get(case_id) != theirs.get(case_id)]
+    for case_id in differ:
+        print(case_id)
+    print(f"{len(differ)} of {len(mine)} cases differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
