@@ -298,10 +298,16 @@ def _bound(tol: TolerancePolicy, noise: np.ndarray) -> float:
 
 
 def _mean_spread(values: np.ndarray) -> tuple[float, float]:
-    """The mean and (max - min) spread of ``values``, by Python's float
-    arithmetic over the entries in grid order."""
-    flat = values.ravel().tolist()
-    return sum(flat) / len(flat), max(flat) - min(flat)
+    """The mean and (max - min) spread of ``values`` over the entries in
+    grid order, as ``sum``, ``max`` and ``min`` give them: the sum adds one
+    entry after another from 0.0, and Python finds the extremes where a NaN
+    or a zero (0.0 against -0.0) makes them depend on the order."""
+    flat = values.ravel()
+    with np.errstate(all="ignore"):
+        mean = float(np.add.accumulate(np.concatenate(([0.0], flat)))[-1]) / len(flat)
+        if (np.abs(flat) > 0.0).all():
+            return mean, float(flat.max() - flat.min())
+    return mean, max(flat.tolist()) - min(flat.tolist())
 
 
 def _curvature_stats(

@@ -36,11 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    SingularAllenDeterminant,
-    ZeroMarginalProduct,
-)
+from .errors import DegenerateDenominator, DomainViolation, SingularAllenDeterminant, ZeroMarginalProduct
 from .jets import PointValues, SecondOrderJet
 from .linalg import det_pivoted, ordered_pairs, pair_matrix, pairs, quadratic_form, symmetric_matrix
 from .points import Point, as_point
@@ -142,6 +138,8 @@ def _allen(j: SecondOrderJet, x) -> tuple[list[PointValues], PointValues]:
     n = j.n
     b = allen_bordered_matrix(j)
     delta = det_pivoted(b)
+    if j.anywhere(bad := ~np.isfinite(delta)):
+        raise DomainViolation(f"bordered determinant is not finite ({float(np.asarray(delta)[bad][0])!r})")
     row_norms = np.sqrt(quadratic_form(b.reshape(-1, n + 1))).reshape(b.shape[:-1])
     singular = abs(delta) <= ZERO_MARGINAL_RTOL * np.prod(row_norms, axis=-1)
     if j.anywhere(singular):

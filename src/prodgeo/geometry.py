@@ -30,6 +30,7 @@ coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,12 +63,12 @@ def slope_w(j: SecondOrderJet) -> PointValues:
 
 
 def slope_power(j: SecondOrderJet, e: int) -> PointValues:
-    """w ** e, by Python's float power one point at a time (numpy's
-    vectorized power rounds differently).  Raises DomainViolation where
-    it overflows."""
+    """w ** e, by Python's float power mapped over one point at a time
+    (numpy's vectorized power rounds differently).  Raises DomainViolation
+    where it overflows."""
     w = slope_w(j)
     try:
-        return np.array([v**e for v in w.tolist()]) if j.is_grid else w**e
+        return np.fromiter(map(pow, w.tolist(), repeat(e)), float, len(w)) if j.is_grid else w**e
     except OverflowError:
         raise DomainViolation(f"slope factor power overflows: {float(np.max(w))!r} ** {e}") from None
 
@@ -183,7 +184,8 @@ def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:
                    + (1 + u F''/F') * sum_j ( r_j^2 * prod_{i != j} s_i ) ].
 
     Requires the outer/inner structure, F'(u) != 0 and every g_i > 0 at
-    the point.
+    the point.  Raises DomainViolation where (u F')^n or the determinant
+    overflows.
     """
     if not spec.has_composition:
         raise StructureMissing(
@@ -218,8 +220,11 @@ def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:
             if i != jdx:
                 partial *= s[i]
         correction += r[jdx] * r[jdx] * partial
-    bracket = prod_all + (1.0 + u * fd2 / fd1) * correction
+    bracket = float(prod_all + (1.0 + u * fd2 / fd1) * correction)
     try:
-        return (u * fd1) ** n * bracket
+        slope = (u * fd1) ** n
     except OverflowError:
         raise DomainViolation(f"outer slope power overflows: {u * fd1!r} ** {n} at {point.coords}", point=point) from None
+    if np.isinf(det := slope * bracket) and np.isfinite(bracket):
+        raise DomainViolation(f"Hessian determinant overflows: {slope!r} * {bracket!r} at {point.coords}", point=point)
+    return det

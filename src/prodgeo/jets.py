@@ -1,23 +1,23 @@
 """Exact first and second derivatives by second-order forward propagation.
 
-Every intermediate scalar carries a value, a gradient and a dense
-Hessian; arithmetic updates all three with the usual calculus rules, so
-the derivatives of an expression tree are exact up to rounding -- there
-is no truncation error.  The input dimension is small here (a handful of
-production factors), which makes the dense n-by-n carry the simple and
-fast choice.
+Every intermediate scalar carries a value, a gradient and the upper
+triangle of its Hessian, packed in ``np.triu_indices`` order; arithmetic
+updates all three with the usual calculus rules, so the derivatives of an
+expression tree are exact up to rounding -- there is no truncation error.
+The input dimension is small here (a handful of production factors),
+which makes the dense carry the simple and fast choice.
 
 A jet describes one point or a whole grid.  A grid jet carries a
-trailing point axis -- value (P,), gradient (n, P), Hessian (n, n, P) --
-so every rule broadcasts over the points unchanged and one pass over
-the expression tree serves the grid (vector forward mode).  Each point
-of a grid jet equals the one-point jet there bit for bit: the rules use
-only elementwise IEEE arithmetic, and the transcendental primitives
-apply ``math.exp``, ``math.log`` and ``math.pow`` to one float at a
-time, because numpy's vectorized versions round differently.  A grid
-jet that fails a check at some point raises that check's error for the
-whole grid, naming no point; ``classifier.grid_pass`` searches the grid
-for the first failing point.
+trailing point axis -- value (P,), gradient (n, P), packed Hessian
+(n(n+1)/2, P) -- so every rule broadcasts over the points unchanged and
+one pass over the expression tree, block by block, serves the grid
+(vector forward mode).  Each point of a grid jet equals the one-point
+jet there bit for bit: the rules use only elementwise IEEE arithmetic,
+and the transcendental primitives map ``math.exp``, ``math.log`` and
+``math.pow`` over one float at a time, because numpy's vectorized
+versions round differently.  A grid jet that fails a check at some
+point raises that check's error for the whole grid, naming no point;
+``classifier.grid_pass`` searches the grid for the first failing point.
 
 A central finite-difference oracle with O(h^2) error is provided as an
 independent cross-check; it is used by the test suite and never by the
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
-from .expr import Expr, eval_expr, eval_value, variables
+from .expr import Expr, _exp_scalar, eval_expr, eval_value, variables
 from .linalg import quadratic_form
 from .points import as_point
 
@@ -54,19 +55,22 @@ def _reject(bad, x: PointValues, message: str) -> None:
         raise DomainViolation(message.format(float(np.asarray(x)[bad][0])))
 
 
-def _each(fn, f, *args):
-    """``fn(f, *args)``, applied to one float at a time for a grid, so that
-    every point is rounded by ``math`` exactly as on its own."""
-    if isinstance(f, np.ndarray):
-        return np.array([fn(x, *args) for x in f.tolist()]).T
-    return fn(f, *args)
+#: The most points propagate evaluates at once: larger temporaries cost more to allocate than to fill.
+_POINT_BLOCK = 1500
 
 
-def _exp(x: float) -> float:
+def _each(fn, f, *args, checked=None):
+    """``fn(f, *args)``, mapped over one float at a time for a grid, so that
+    every point is rounded by ``math`` exactly as on its own.  Where that
+    overflows, ``checked`` of each float in order raises."""
     try:
-        return math.exp(x)
+        if isinstance(f, np.ndarray):
+            return np.fromiter(map(fn, f.tolist(), *map(repeat, args)), float, len(f))
+        return fn(f, *args)
     except OverflowError:
-        raise DomainViolation(f"exp overflow at argument {x!r}") from None
+        for x in np.ravel(f).tolist():
+            checked(x)
+        raise
 
 
 def _pow_terms(x: float, e: float) -> tuple[float, float, float]:
@@ -77,17 +81,23 @@ def _pow_terms(x: float, e: float) -> tuple[float, float, float]:
         raise DomainViolation(f"power overflow: {x!r} ** {e!r}") from None
 
 
+#: Rows and columns of the upper triangle of an n x n matrix: the order of a packed Hessian.
+_triu = cache(np.triu_indices)
+
+
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer(a, b) at one point, and at each point of a grid."""
-    return a[:, None] * b[None]
+    """The packed upper triangle of np.outer(a, b), at one point and at each point of a grid."""
+    rows, cols = _triu(len(a))
+    return a[rows] * b[cols]
 
 
 class Jet2:
     """Scalar carrying (value, gradient, Hessian) through arithmetic.
 
-    At one point ``f`` is a float, ``g`` (n,) and ``h`` (n, n); on a grid
-    of P points they are (P,), (n, P) and (n, n, P).  Mixed operations
-    with plain floats treat the float as a constant.  Instances are never
+    ``h`` is the packed upper triangle of the Hessian.  At one point ``f``
+    is a float, ``g`` (n,) and ``h`` (n(n+1)/2,); on a grid of P points
+    they are (P,), (n, P) and (n(n+1)/2, P).  Mixed operations with plain
+    floats treat the float as a constant.  Instances are never
     mutated; every operation allocates fresh arrays.  A domain check
     raises when it fails at any point.
     """
@@ -105,7 +115,7 @@ class Jet2:
         shape = np.shape(x)
         g = np.zeros((n,) + shape)
         g[index] = 1.0
-        return cls(x if shape else float(x), g, np.zeros((n, n) + shape))
+        return cls(x if shape else float(x), g, np.zeros((n * (n + 1) // 2,) + shape))
 
     # -- ring operations ---------------------------------------------------
 
@@ -157,7 +167,7 @@ class Jet2:
         return Jet2(value, d1 * self.g, d1 * self.h + d2 * _outer(self.g, self.g))
 
     def exp(self) -> "Jet2":
-        v = _each(_exp, self.f)
+        v = _each(math.exp, self.f, checked=_exp_scalar)
         return self._chain(v, v, v)
 
     def ln(self) -> "Jet2":
@@ -171,8 +181,9 @@ class Jet2:
     def pow_real(self, exponent: float) -> "Jet2":
         f = self.f
         _reject(f <= 0.0, f, "real power of non-positive base {!r}")
-        v, d1, d2 = _each(_pow_terms, f, exponent)
-        return self._chain(v, d1, d2)
+        checked = partial(_pow_terms, e=exponent)
+        v, p1, p2 = (_each(math.pow, f, e, checked=checked) for e in (exponent, exponent - 1.0, exponent - 2.0))
+        return self._chain(v, exponent * p1, exponent * (exponent - 1.0) * p2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -256,13 +267,11 @@ def _freeze_jet(value: PointValues, gradient: np.ndarray, hessian: np.ndarray) -
     _reject(~np.isfinite(value), value, "non-finite value {!r}")
     if not (np.all(np.isfinite(gradient)) and np.all(np.isfinite(hessian))):
         raise DomainViolation("non-finite derivative")
-    # The upper triangle mirrored; + 0.0 turns -0.0 into 0.0, as
+    # The packed upper triangle, mirrored; + 0.0 turns -0.0 into 0.0, as
     # triu(h) + triu(h, 1).T does.
-    sym = hessian + 0.0
     n = gradient.shape[0]
-    for i in range(n):
-        for k in range(i + 1, n):
-            sym[k, i] = sym[i, k]
+    sym = np.empty((n, n) + hessian.shape[1:])
+    sym[_triu(n)] = sym[_triu(n)[::-1]] = hessian + 0.0
     value = _read_only(value.copy()) if isinstance(value, np.ndarray) else float(value)
     return SecondOrderJet(value, _read_only(gradient.copy()), _read_only(sym))
 
@@ -276,16 +285,23 @@ def _checked(out: Jet2) -> SecondOrderJet:
 def propagate(spec: "FunctionSpec", coords) -> Jet2:
     """Evaluate ``spec.body`` on jets seeded at ``coords``, unchecked.
 
-    ``coords`` holds n floats for one point, or n arrays with one
-    coordinate per point for a grid.  A body without variables gives a
-    jet with zero derivatives.
+    ``coords`` holds n floats for one point, or the (n, P) array of a
+    grid's coordinates, evaluated in blocks of at most ``_POINT_BLOCK``
+    points.  A body without variables gives a jet with zero derivatives.
     """
+    if isinstance(coords, np.ndarray) and coords.ndim == 2 and coords.shape[1] > _POINT_BLOCK:
+        blocks = [_propagate(spec, coords[:, s : s + _POINT_BLOCK]) for s in range(0, coords.shape[1], _POINT_BLOCK)]
+        return Jet2(*(np.concatenate(parts, axis=-1) for parts in zip(*((b.f, b.g, b.h) for b in blocks))))
+    return _propagate(spec, coords)
+
+
+def _propagate(spec: "FunctionSpec", coords) -> Jet2:
     n = spec.n
     out = eval_expr(spec.body, [Jet2.seed(x, i, n) for i, x in enumerate(coords)])
     if isinstance(out, float):
         shape = np.shape(coords[0])
         f = np.full(shape, out) if shape else out
-        out = Jet2(f, np.zeros((n,) + shape), np.zeros((n, n) + shape))
+        out = Jet2(f, np.zeros((n,) + shape), np.zeros((n * (n + 1) // 2,) + shape))
     return out
 
 
@@ -337,8 +353,8 @@ def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, P
     out = eval_expr(e, xs)
     shape = np.shape(x)
     if isinstance(out, float):
-        out = Jet2(np.full(shape, out) if shape else out, np.zeros((1,) + shape), np.zeros((1, 1) + shape))
-    return (out.f, out.g[0], out.h[0, 0]) if shape else (out.f, float(out.g[0]), float(out.h[0, 0]))
+        out = Jet2(np.full(shape, out) if shape else out, np.zeros((1,) + shape), np.zeros((1,) + shape))
+    return (out.f, out.g[0], out.h[0]) if shape else (out.f, float(out.g[0]), float(out.h[0]))
 
 
 def fd_oracle(spec: "FunctionSpec", p, h: float = 1e-4) -> SecondOrderJet:
@@ -383,4 +399,4 @@ def fd_oracle(spec: "FunctionSpec", p, h: float = 1e-4) -> SecondOrderJet:
             hessian[i, j] = (
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4.0 * steps[i] * steps[j])
-    return _freeze_jet(f0, gradient, hessian)
+    return _freeze_jet(f0, gradient, hessian[_triu(n)])

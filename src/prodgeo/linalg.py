@@ -26,7 +26,8 @@ def det_pivoted(a: np.ndarray):
     ``a`` is one (m, m) matrix, giving a float, or a (P, m, m) stack,
     giving one determinant per matrix.  Each matrix of a stack keeps its
     own pivot choices and elimination order; a zero pivot zeroes only
-    that matrix's determinant.  One matrix is a stack of one.
+    that matrix's determinant.  One matrix is a stack of one.  Overflow
+    gives +-inf or NaN, without a warning.
     """
     a = np.array(a, dtype=float)
     m, mm = a.shape[-2:]
@@ -34,27 +35,28 @@ def det_pivoted(a: np.ndarray):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.ndim == 2:
         return float(det_pivoted(a[None])[0])
-    if m == 1:
-        return a[:, 0, 0].copy()
-    if m == 2:
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    rows = np.arange(len(a))
-    det = np.ones(len(a))
-    singular = np.zeros(len(a), dtype=bool)
-    for col in range(m):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        singular |= a[rows, piv, col] == 0.0
-        pivot_rows = a[rows, piv].copy()
-        a[rows, piv] = a[:, col]
-        a[:, col] = pivot_rows
-        det = np.where(piv != col, -det, det)
-        det *= a[:, col, col]
-        # A singular matrix is done; dividing by 1 keeps it finite.
-        pivot = np.where(singular, 1.0, a[:, col, col])
-        for row in range(col + 1, m):
-            factor = a[:, row, col] / pivot
-            a[:, row, col:] -= factor[:, None] * a[:, col, col:]
-    return np.where(singular, 0.0, det)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m == 1:
+            return a[:, 0, 0].copy()
+        if m == 2:
+            return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        rows = np.arange(len(a))
+        det = np.ones(len(a))
+        singular = np.zeros(len(a), dtype=bool)
+        for col in range(m):
+            piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+            singular |= a[rows, piv, col] == 0.0
+            pivot_rows = a[rows, piv].copy()
+            a[rows, piv] = a[:, col]
+            a[:, col] = pivot_rows
+            det = np.where(piv != col, -det, det)
+            det *= a[:, col, col]
+            # A singular matrix is done; dividing by 1 keeps it finite.
+            pivot = np.where(singular, 1.0, a[:, col, col])
+            for row in range(col + 1, m):
+                factor = a[:, row, col] / pivot
+                a[:, row, col:] -= factor[:, None] * a[:, col, col:]
+        return np.where(singular, 0.0, det)
 
 
 def quadratic_form(u: np.ndarray, m: np.ndarray | None = None):

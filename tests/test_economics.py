@@ -381,3 +381,16 @@ def test_grid_jet_zero_marginal_raises_for_the_grid():
     assert math.isfinite(mrs(jet(spec, (1.0, 0.5)), 1, 0))
     with pytest.raises(ZeroMarginalProduct, match="x2"):
         mrs(grid, 1, 0)
+
+
+HUGE_A = build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)})
+
+
+def test_allen_determinant_overflow_is_infinite_without_warning():
+    # The pytest configuration turns RuntimeWarnings into errors.
+    assert allen_determinant(jet(HUGE_A, (1.0, 1.0))) == math.inf
+
+
+def test_allen_elasticity_of_an_infinite_bordered_determinant_is_a_domain_violation():
+    with pytest.raises(DomainViolation, match=r"bordered determinant is not finite \(inf\)"):
+        allen_elasticity(jet(HUGE_A, (1.0, 1.0)), (1.0, 1.0), 0, 1)

@@ -260,6 +260,21 @@ def test_quasi_product_det_overflow_is_a_domain_violation():
     assert exc.value.point.coords == (1.0, 1.0)
 
 
+def test_quasi_product_det_overflow_of_the_product_is_a_domain_violation():
+    # (u F')^n is finite, and its product with the bracket overflows.
+    spec = build_family("cobb_douglas", {"A": 1e150, "k": (0.7, 0.7)})
+    with pytest.raises(DomainViolation, match=r"Hessian determinant overflows: .* at \(1e-10, 1e-10\)") as exc:
+        quasi_product_hessian_det(spec, (1e-10, 1e-10))
+    assert exc.value.point.coords == (1e-10, 1e-10)
+
+
+def test_hessian_determinant_overflow_is_infinite_without_warning():
+    j = jet(build_family("cobb_douglas", {"A": 1e200, "k": (1.0, 1.0)}), (1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hessian_determinant(j) == -math.inf
+
+
 def test_quasi_product_det_matches_generic_on_random_fixtures():
     rng = np.random.default_rng(20260808)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo.catalog import Diagnostic, FunctionSpec, Point, _axis_samples, build_family, build_quasi_product, validate
-from prodgeo.classifier import SampleGrid, estimate_sigma
+from prodgeo.classifier import SampleGrid, _mean_spread, estimate_sigma
 from prodgeo.economics import ZERO_MARGINAL_RTOL, hicks_elasticity
 from prodgeo.errors import DomainViolation, ProdGeoError
 from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, variables
@@ -73,6 +73,25 @@ def test_grid_jet_equals_pointwise_jets(case):
         assert _bits(batch.value[k]) == _bits(one.value)
         assert _bits(batch.gradient[:, k]) == _bits(one.gradient)
         assert _bits(batch.hessian[:, :, k]) == _bits(one.hessian)
+
+
+special = st.sampled_from([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(st.lists(special | st.floats(), min_size=m, max_size=m), min_size=1)))
+def test_mean_spread_equals_the_list_reduction(rows):
+    # sum() of floats adds one after another from 0 up to Python 3.11.  A
+    # NaN's sign is not part of the result: no output shows it, and Python
+    # and numpy keep different operands of NaN + NaN.
+    flat = [x for row in rows for x in row]
+    total = 0
+    for x in flat:
+        total += x
+    mean, spread = _mean_spread(np.array(rows))
+    assert (type(mean), type(spread)) == (float, float)
+    unsigned_nan = lambda xs: _bits([math.nan if math.isnan(x) else x for x in xs])  # noqa: E731
+    assert unsigned_nan([mean, spread]) == unsigned_nan([total / len(flat), max(flat) - min(flat)])
 
 
 @settings(max_examples=50, deadline=None)

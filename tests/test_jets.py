@@ -11,8 +11,8 @@ import pytest
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
 from prodgeo.classifier import catalog_fixtures, default_grid
 from prodgeo.errors import ArityMismatch, DomainViolation, StencilOutOfDomain
-from prodgeo.expr import Const, Div, Exp, Ln, Mul, Pow, Var
-from prodgeo.jets import fd_oracle, grid_jet, jet, univariate_jet
+from prodgeo.expr import Const, Div, Exp, Ln, Mul, Pow, Var, sum_chain
+from prodgeo.jets import _POINT_BLOCK, fd_oracle, grid_jet, jet, univariate_jet
 from prodgeo.reports import geometry_report
 
 FAMILY_SPECS = [
@@ -296,3 +296,35 @@ def test_grid_jet_of_constant_body_and_failures():
     assert str(exc.value) == f"real power of non-positive base {1.2 - 1.5!r}"
     with pytest.raises(ArityMismatch):
         grid_jet(FunctionSpec(2, Var(0) + Var(1)), np.ones((3, 4)))
+
+
+#: A six-input body of exp, ln and real powers, positive on the default grid.
+_TRANSCENDENTAL_6IN = FunctionSpec(
+    6,
+    sum_chain([Mul(Pow(Var(i), 0.3 + 0.1 * i), Exp(Mul(Const(0.2), Var((i + 1) % 6)))) for i in range(6)])
+    + Ln(Const(2.0) + Mul(Var(0), Var(5))),
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25, 0.8, 0.6, 0.4), "rho": 2.0, "gamma": 1.0}), _TRANSCENDENTAL_6IN],
+    ids=["acms", "exp_ln_pow"],
+)
+def test_grid_jet_equals_jet_at_the_block_edges_bitwise(spec):
+    # 4,128 points: more than two blocks.
+    points = default_grid(6).points()
+    grid = grid_jet(spec, _coords(points))
+    b = _POINT_BLOCK
+    assert 2 * b < len(points)
+    for k in (0, b - 1, b, b + 1, 2 * b, len(points) - 1):
+        one = jet(spec, points[k])
+        assert np.float64(grid.value[k]).tobytes() == np.float64(one.value).tobytes()
+        assert grid.gradient[:, k].tobytes() == one.gradient.tobytes()
+        assert grid.hessian[:, :, k].tobytes() == one.hessian.tobytes()
+
+
+def test_grid_power_overflow_names_the_first_float_of_any_derivative():
+    # x^-0.5 at 1e-200: the second derivative overflows; at 1e-300 the first does.
+    with pytest.raises(DomainViolation, match=r"^power overflow: 1e-200 \*\* -0\.5$"):
+        univariate_jet(Pow(Var(0), -0.5), np.array([1e-200, 1e-300]))

@@ -131,6 +131,7 @@ def library_cases():
     from prodgeo.economics import allen_determinant, allen_elasticity
     from prodgeo.expr import Const, Div, Ln, Mul, Pow, Var, sum_chain
     from prodgeo.geometry import hessian_determinant
+    from prodgeo.jets import grid_jet, univariate_jet
 
     cases = [
         ("verify_catalog/default", verify_catalog),
@@ -160,6 +161,10 @@ def library_cases():
         return jet(huge_a, (1.0, 1.0))
 
     ln_region = [(0.5, 4.0)] + [(0.5, 2.0)] * 7
+    # x1^0.5 + ... + x6^0.5 + (1.6 - x1)^0.5 fails first at point 3,072 of the
+    # 4,128-point grid, in the third block of grid_jet's propagation.
+    third_block = FunctionSpec(6, sum_chain([Pow(Var(i), 0.5) for i in range(6)] + [Pow(Const(1.6) - Var(0), 0.5)]))
+    acms_8in = build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25, 0.8, 0.6, 0.4, 0.9, 0.3), "rho": 2.0, "gamma": 1.0})
     cases += [
         ("repro/evaluate_nonpositive", lambda: evaluate(FunctionSpec(2, Var(0) - Var(1)), (1.0, 2.0))),
         ("repro/evaluate_non_finite", lambda: evaluate(FunctionSpec(2, Const(1e300) * Var(0) * Var(1)), (1e10, 1e10))),
@@ -192,6 +197,16 @@ def library_cases():
             "repro/validate_ln_8in",
             lambda: validate(FunctionSpec(8, sum_chain([Ln(Const(3.0) - Var(0))] + [Var(i) for i in range(1, 8)])), ln_region),
         ),
+        ("repro/classify_third_block_failure_6in", lambda: classify(third_block, default_grid(6))),
+        ("repro/grid_jet_third_block_failure_6in", lambda: grid_jet(third_block, default_grid(6).coords())),
+        ("repro/univariate_jet_pow_overflow", lambda: univariate_jet(Pow(Var(0), -0.5), np.array([1e-200, 1e-300]))),
+        (
+            "repro/qp_det_A1e150",
+            lambda: quasi_product_hessian_det(
+                build_family("cobb_douglas", {"A": 1e150, "k": (0.7, 0.7)}), (1e-10, 1e-10)
+            ),
+        ),
+        ("repro/validate_acms_8in", lambda: validate(acms_8in, [(0.5, 2.0)] * 8)),
         ("repro/grid_subnormal", lambda: SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1).points()),
     ]
     return cases
