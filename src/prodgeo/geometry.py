@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import FunctionSpec, as_point
 from .errors import ArityMismatch, DegenerateOuter, DomainViolation, StructureMissing
-from .jets import PointValues, SecondOrderJet, jet, univariate_jet
+from .jets import PointValues, SecondOrderJet, _read_only, jet, univariate_jet
 from .linalg import det_pivoted, pairs, quadratic_form, symmetric_matrix
 from .points import Point
 
@@ -63,14 +63,17 @@ def slope_w(j: SecondOrderJet) -> PointValues:
 
 
 def slope_power(j: SecondOrderJet, e: int) -> PointValues:
-    """w ** e, by Python's float power mapped over one point at a time
-    (numpy's vectorized power rounds differently).  Raises DomainViolation
-    where it overflows."""
-    w = slope_w(j)
-    try:
-        return np.fromiter(map(pow, w.tolist(), repeat(e)), float, len(w)) if j.is_grid else w**e
-    except OverflowError:
-        raise DomainViolation(f"slope factor power overflows: {float(np.max(w))!r} ** {e}") from None
+    """w ** e, once per jet and exponent, by Python's float power mapped over
+    one point at a time (numpy's vectorized power rounds differently).
+    Raises DomainViolation where it overflows."""
+    if e not in j.slope_powers:
+        w = slope_w(j)
+        try:
+            power = np.fromiter(map(pow, w.tolist(), repeat(e)), float, len(w)) if j.is_grid else w**e
+        except OverflowError:
+            raise DomainViolation(f"slope factor power overflows: {float(np.max(w))!r} ** {e}") from None
+        j.slope_powers[e] = _read_only(power) if j.is_grid else power
+    return j.slope_powers[e]
 
 
 def hessian_determinant(j: SecondOrderJet) -> PointValues:

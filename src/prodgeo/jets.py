@@ -4,12 +4,13 @@ Every intermediate scalar carries a value, a gradient and the upper
 triangle of its Hessian, packed in ``np.triu_indices`` order; arithmetic
 updates all three with the usual calculus rules, so the derivatives of an
 expression tree are exact up to rounding -- there is no truncation error.
-The input dimension is small here (a handful of production factors),
-which makes the dense carry the simple and fast choice.
+Derivatives are carried over the scalar's support, the k inputs it depends
+on; a binary operation embeds its operands into the union of their supports
+and applies the dense rule there, skipping only structurally zero entries.
 
 A jet describes one point or a whole grid.  A grid jet carries a
-trailing point axis -- value (P,), gradient (n, P), packed Hessian
-(n(n+1)/2, P) -- so every rule broadcasts over the points unchanged and
+trailing point axis -- value (P,), gradient (k, P), packed Hessian
+(k(k+1)/2, P) -- so every rule broadcasts over the points unchanged and
 one pass over the expression tree, block by block, serves the grid
 (vector forward mode).  Each point of a grid jet equals the one-point
 jet there bit for bit: the rules use only elementwise IEEE arithmetic,
@@ -87,84 +88,115 @@ _triu = cache(np.triu_indices)
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The packed upper triangle of np.outer(a, b), at one point and at each point of a grid."""
+    if len(a) == 1:
+        return a * b
     rows, cols = _triu(len(a))
     return a[rows] * b[cols]
+
+
+_union = cache(lambda s, t: tuple(sorted({*s, *t})))
+
+
+@cache
+def _slots(s: tuple, u: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Where the gradient and packed Hessian rows over ``s`` sit among those over its superset ``u``."""
+    rows = np.searchsorted(u, s)
+    i, j = (rows[k] for k in _triu(len(s)))
+    return rows, i * len(u) - i * (i - 1) // 2 + j - i
 
 
 class Jet2:
     """Scalar carrying (value, gradient, Hessian) through arithmetic.
 
-    ``h`` is the packed upper triangle of the Hessian.  At one point ``f``
-    is a float, ``g`` (n,) and ``h`` (n(n+1)/2,); on a grid of P points
-    they are (P,), (n, P) and (n(n+1)/2, P).  Mixed operations with plain
-    floats treat the float as a constant.  Instances are never
-    mutated; every operation allocates fresh arrays.  A domain check
-    raises when it fails at any point.
+    ``s`` is the support, the sorted tuple of inputs the scalar depends on.
+    At one point ``f`` is a float, ``g`` (k,) and the packed upper triangle
+    ``h`` (k(k+1)/2,) over the k = len(s) inputs; on a grid of P points
+    they are (P,), (k, P) and (k(k+1)/2, P).  Mixed operations with plain
+    floats treat the float as a constant.  Instances are never mutated;
+    every operation allocates fresh arrays.  A domain check raises when it
+    fails at any point.
     """
 
-    __slots__ = ("f", "g", "h")
+    __slots__ = ("f", "g", "h", "s")
 
-    def __init__(self, f: PointValues, g: np.ndarray, h: np.ndarray):
+    def __init__(self, f: PointValues, g: np.ndarray, h: np.ndarray, s: tuple[int, ...]):
         self.f = f
         self.g = g
         self.h = h
+        self.s = s
 
     @classmethod
-    def seed(cls, x: PointValues, index: int, n: int) -> "Jet2":
+    def seed(cls, x: PointValues, index: int) -> "Jet2":
         """The jet of input ``index`` at ``x``, a float or one value per point."""
         shape = np.shape(x)
-        g = np.zeros((n,) + shape)
-        g[index] = 1.0
-        return cls(x if shape else float(x), g, np.zeros((n * (n + 1) // 2,) + shape))
+        return cls(x if shape else float(x), np.ones((1,) + shape), np.zeros((1,) + shape), (index,))
+
+    def on(self, u: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``g`` and ``h`` over ``u``, a superset of ``s``: zero in the rows of inputs outside ``s``."""
+        if u == self.s:
+            return self.g, self.h
+        rows, packed = _slots(self.s, u)
+        m, shape = len(u), self.g.shape[1:]
+        g, h = np.zeros((m,) + shape), np.zeros((m * (m + 1) // 2,) + shape)
+        g[rows], h[packed] = self.g, self.h
+        return g, h
+
+    def _aligned(self, other: "Jet2"):
+        """The union of both supports, and ``g``, ``h`` of each operand over it."""
+        if self.s == other.s:
+            return self.s, self.g, self.h, other.g, other.h
+        u = _union(self.s, other.s)
+        return u, *self.on(u), *other.on(u)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return Jet2(-self.f, -self.g, -self.h)
+        return Jet2(-self.f, -self.g, -self.h, self.s)
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.f + other.f, self.g + other.g, self.h + other.h)
-        return Jet2(self.f + other, self.g, self.h)
+            u, g, h, og, oh = self._aligned(other)
+            return Jet2(self.f + other.f, g + og, h + oh, u)
+        return Jet2(self.f + other, self.g, self.h, self.s)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
+            u, g, h, og, oh = self._aligned(other)
             return Jet2(
                 self.f * other.f,
-                self.f * other.g + other.f * self.g,
-                self.f * other.h
-                + other.f * self.h
-                + _outer(self.g, other.g)
-                + _outer(other.g, self.g),
+                self.f * og + other.f * g,
+                self.f * oh + other.f * h + _outer(g, og) + _outer(og, g),
+                u,
             )
-        return Jet2(self.f * other, self.g * other, self.h * other)
+        return Jet2(self.f * other, self.g * other, self.h * other, self.s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             _reject(other.f == 0.0, other.f, "division by zero")
+            u, g, h, og, oh = self._aligned(other)
             q = self.f / other.f
-            gq = (self.g - q * other.g) / other.f
-            hq = (self.h - q * other.h - _outer(gq, other.g) - _outer(other.g, gq)) / other.f
-            return Jet2(q, gq, hq)
+            gq = (g - q * og) / other.f
+            hq = (h - q * oh - _outer(gq, og) - _outer(og, gq)) / other.f
+            return Jet2(q, gq, hq, u)
         if other == 0.0:
             raise DomainViolation("division by zero")
-        return Jet2(self.f / other, self.g / other, self.h / other)
+        return Jet2(self.f / other, self.g / other, self.h / other, self.s)
 
     def __rtruediv__(self, other):
         _reject(self.f == 0.0, self.f, "division by zero")
         q = other / self.f
         gq = -q * self.g / self.f
         hq = (-q * self.h - _outer(gq, self.g) - _outer(self.g, gq)) / self.f
-        return Jet2(q, gq, hq)
+        return Jet2(q, gq, hq, self.s)
 
     # -- smooth primitives -------------------------------------------------
 
     def _chain(self, value: PointValues, d1: PointValues, d2: PointValues) -> "Jet2":
-        return Jet2(value, d1 * self.g, d1 * self.h + d2 * _outer(self.g, self.g))
+        return Jet2(value, d1 * self.g, d1 * self.h + d2 * _outer(self.g, self.g), self.s)
 
     def exp(self) -> "Jet2":
         v = _each(math.exp, self.f, checked=_exp_scalar)
@@ -249,6 +281,11 @@ class SecondOrderJet:
         """|grad f|^2.  Raises DomainViolation where it overflows."""
         return gradient_norm_sq(self.stacked[0])
 
+    @cached_property
+    def slope_powers(self) -> dict[int, PointValues]:
+        """w ** e by exponent e, as ``geometry.slope_power`` has computed them."""
+        return {}
+
 
 def gradient_norm_sq(g: np.ndarray) -> PointValues:
     """|g|^2 of one (n,) gradient, or of each row of a (P, n) stack.
@@ -291,18 +328,20 @@ def propagate(spec: "FunctionSpec", coords) -> Jet2:
     """
     if isinstance(coords, np.ndarray) and coords.ndim == 2 and coords.shape[1] > _POINT_BLOCK:
         blocks = [_propagate(spec, coords[:, s : s + _POINT_BLOCK]) for s in range(0, coords.shape[1], _POINT_BLOCK)]
-        return Jet2(*(np.concatenate(parts, axis=-1) for parts in zip(*((b.f, b.g, b.h) for b in blocks))))
+        return Jet2(*(np.concatenate(p, axis=-1) for p in zip(*((b.f, b.g, b.h) for b in blocks))), blocks[0].s)
     return _propagate(spec, coords)
 
 
 def _propagate(spec: "FunctionSpec", coords) -> Jet2:
-    n = spec.n
-    out = eval_expr(spec.body, [Jet2.seed(x, i, n) for i, x in enumerate(coords)])
+    out = eval_expr(spec.body, [Jet2.seed(x, i) for i, x in enumerate(coords)])
+    return _over_all(out, spec.n, np.shape(coords[0]))
+
+
+def _over_all(out: Union[Jet2, float], n: int, shape: tuple) -> Jet2:
+    """``out``, a jet or a constant at points of ``shape``, over the inputs 0, ..., n - 1."""
     if isinstance(out, float):
-        shape = np.shape(coords[0])
-        f = np.full(shape, out) if shape else out
-        out = Jet2(f, np.zeros((n,) + shape), np.zeros((n * (n + 1) // 2,) + shape))
-    return out
+        out = Jet2(np.full(shape, out) if shape else out, np.zeros((0,) + shape), np.zeros((0,) + shape), ())
+    return out if len(out.s) == n else Jet2(out.f, *out.on(tuple(range(n))), tuple(range(n)))
 
 
 def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
@@ -349,11 +388,9 @@ def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, P
     if len(used) > 1:
         raise ArityMismatch(f"expression uses {len(used)} variables, expected one")
     xs: list = [None] * (max(used, default=0) + 1)
-    xs[-1] = Jet2.seed(x, 0, 1)
-    out = eval_expr(e, xs)
+    xs[-1] = Jet2.seed(x, 0)
     shape = np.shape(x)
-    if isinstance(out, float):
-        out = Jet2(np.full(shape, out) if shape else out, np.zeros((1,) + shape), np.zeros((1,) + shape))
+    out = _over_all(eval_expr(e, xs), 1, shape)
     return (out.f, out.g[0], out.h[0]) if shape else (out.f, float(out.g[0]), float(out.h[0]))
 
 

@@ -283,6 +283,24 @@ def test_a_late_jets_failure_is_found_by_halving_the_grid(monkeypatch):
     assert calls["propagate"] <= 2 * math.ceil(math.log2(coords.shape[1]))
 
 
+def test_classify_maps_each_slope_power_over_the_grid_once(monkeypatch):
+    # w ** (n + 2) serves K and its noise scale, w ** 3 the mean curvature
+    # and its noise scale: one map of ``pow`` over the grid each.
+    import prodgeo.geometry
+
+    exponents = []
+
+    def counting_pow(w, e):
+        exponents.append(e)
+        return pow(w, e)
+
+    monkeypatch.setattr(prodgeo.geometry, "pow", counting_pow, raising=False)
+    grid = default_grid(3)
+    classify(build_family("acms", {"A": 1.0, "k": (0.7, 0.9, 0.4), "rho": -1.0, "gamma": -1.0}), grid)
+    points = grid.coords().shape[1]
+    assert sorted(exponents) == [3] * points + [5] * points
+
+
 def test_classify_names_the_first_point_of_a_curvature_overflow():
     # w ** 4 overflows at every point of the grid; the error names the
     # first, with the message that the per-point reports raise.

@@ -3,6 +3,7 @@ numbers of a loop over its points."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from prodgeo.catalog import Diagnostic, FunctionSpec, Point, _axis_samples, buil
 from prodgeo.classifier import SampleGrid, _mean_spread, estimate_sigma
 from prodgeo.economics import ZERO_MARGINAL_RTOL, hicks_elasticity
 from prodgeo.errors import DomainViolation, ProdGeoError
-from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, variables
-from prodgeo.jets import grid_jet, jet, propagate, univariate_jet
+from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, eval_expr, variables
+from prodgeo.jets import Jet2, grid_jet, jet, propagate, univariate_jet
 from prodgeo.reports import geometry_report, grid_reports
 
 positive = st.floats(0.2, 2.0)
@@ -220,3 +221,123 @@ def test_validate_equals_per_point_loop(case):
     with np.errstate(all="ignore"):
         want = _reference_validate(spec, region)
     assert repr(validate(spec, region)) == repr(want)
+
+
+class DenseJet(Jet2):
+    """The jet rules with a gradient row and packed Hessian rows for every
+    input at every node: the reference for the support-aware ``Jet2``.
+    The transcendental primitives are ``Jet2``'s, through ``_chain``."""
+
+    def __init__(self, f, g, h):
+        self.f, self.g, self.h = f, g, h
+
+    @classmethod
+    def seed(cls, x, index, n):
+        shape = np.shape(x)
+        g = np.zeros((n,) + shape)
+        g[index] = 1.0
+        return cls(x if shape else float(x), g, np.zeros((n * (n + 1) // 2,) + shape))
+
+    def __neg__(self):
+        return DenseJet(-self.f, -self.g, -self.h)
+
+    def __add__(self, other):
+        if isinstance(other, DenseJet):
+            return DenseJet(self.f + other.f, self.g + other.g, self.h + other.h)
+        return DenseJet(self.f + other, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, DenseJet):
+            return DenseJet(
+                self.f * other.f,
+                self.f * other.g + other.f * self.g,
+                self.f * other.h
+                + other.f * self.h
+                + _dense_outer(self.g, other.g)
+                + _dense_outer(other.g, self.g),
+            )
+        return DenseJet(self.f * other, self.g * other, self.h * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, DenseJet):
+            if np.any(other.f == 0.0):
+                raise DomainViolation("division by zero")
+            q = self.f / other.f
+            gq = (self.g - q * other.g) / other.f
+            hq = (self.h - q * other.h - _dense_outer(gq, other.g) - _dense_outer(other.g, gq)) / other.f
+            return DenseJet(q, gq, hq)
+        if other == 0.0:
+            raise DomainViolation("division by zero")
+        return DenseJet(self.f / other, self.g / other, self.h / other)
+
+    def __rtruediv__(self, other):
+        if np.any(self.f == 0.0):
+            raise DomainViolation("division by zero")
+        q = other / self.f
+        gq = -q * self.g / self.f
+        hq = (-q * self.h - _dense_outer(gq, self.g) - _dense_outer(self.g, gq)) / self.f
+        return DenseJet(q, gq, hq)
+
+    def _chain(self, value, d1, d2):
+        return DenseJet(value, d1 * self.g, d1 * self.h + d2 * _dense_outer(self.g, self.g))
+
+
+def _dense_outer(a, b):
+    rows, cols = np.triu_indices(len(a))
+    return a[rows] * b[cols]
+
+
+def _dense_propagate(spec, coords):
+    """``propagate`` with dense jets."""
+    n = spec.n
+    out = eval_expr(spec.body, [DenseJet.seed(x, i, n) for i, x in enumerate(coords)])
+    if isinstance(out, float):
+        shape = np.shape(coords[0])
+        out = DenseJet(np.full(shape, out) if shape else out, np.zeros((n,) + shape), np.zeros((n * (n + 1) // 2,) + shape))
+    return out
+
+
+@st.composite
+def bodies_and_coords(draw):
+    """A random tree over some of n inputs, and the (n, P) coordinates of a grid."""
+    n = draw(st.integers(2, 4))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    spec = FunctionSpec(n, draw(trees(st.sampled_from(used).map(Var))))
+    lo = draw(st.floats(0.1, 1.0))
+    box = ((lo, lo * draw(st.floats(1.5, 5.0))),) * n
+    return spec, SampleGrid(box, points_per_axis=3, seed=draw(st.integers(0, 99)), jitter_points=2).coords()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies_and_coords())
+def test_support_aware_jets_equal_dense_jets(case):
+    spec, coords = case
+    used = sorted(variables(spec.body))
+    unused = [i for i in range(spec.n) if i not in used]
+    for at in (coords, tuple(coords[:, 0].tolist())):
+        with np.errstate(all="ignore"):
+            try:
+                want = _dense_propagate(spec, at)
+            except ProdGeoError as e:
+                with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                    propagate(spec, at)
+                continue
+            got = propagate(spec, at)
+        assert _bits(got.f) == _bits(want.f)
+        # Per point: (gradient, packed Hessian) rows.
+        (g, h), (dense_g, dense_h) = (
+            (np.reshape(j.g, (spec.n, -1)), np.reshape(j.h, (len(j.h), -1))) for j in (got, want)
+        )
+        assert _bits(g[unused]) == _bits(np.zeros_like(g[unused]))
+        # jet() rejects a point with a non-finite derivative: the same
+        # points on both.  Elsewhere the entries agree bit for bit, except
+        # that a zero may change its sign: a dense operand can hold -0.0
+        # where the support-aware one embeds a structural +0.0.
+        finite = np.isfinite(np.concatenate([g, h])).all(axis=0)
+        assert (finite == np.isfinite(np.concatenate([dense_g, dense_h])).all(axis=0)).all()
+        assert _bits(g[used][:, finite] + 0.0) == _bits(dense_g[used][:, finite] + 0.0)
+        assert _bits(h[:, finite] + 0.0) == _bits(dense_h[:, finite] + 0.0)

@@ -12,7 +12,7 @@ from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
 from prodgeo.classifier import catalog_fixtures, default_grid
 from prodgeo.errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from prodgeo.expr import Const, Div, Exp, Ln, Mul, Pow, Var, sum_chain
-from prodgeo.jets import _POINT_BLOCK, fd_oracle, grid_jet, jet, univariate_jet
+from prodgeo.jets import _POINT_BLOCK, Jet2, fd_oracle, grid_jet, jet, univariate_jet
 from prodgeo.reports import geometry_report
 
 FAMILY_SPECS = [
@@ -328,3 +328,36 @@ def test_grid_power_overflow_names_the_first_float_of_any_derivative():
     # x^-0.5 at 1e-200: the second derivative overflows; at 1e-300 the first does.
     with pytest.raises(DomainViolation, match=r"^power overflow: 1e-200 \*\* -0\.5$"):
         univariate_jet(Pow(Var(0), -0.5), np.array([1e-200, 1e-300]))
+
+
+def test_grid_jet_of_acms_carries_only_the_inputs_each_jet_depends_on(monkeypatch):
+    # A (sum k_i x_i^2)^(1/2) over six inputs: below the Add chain every
+    # jet depends on one input; only the chain's partial sums, the outer
+    # power, its product with A and the joined blocks carry more rows.
+    spec = build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25, 0.8, 0.6, 0.4), "rho": 2.0, "gamma": 1.0})
+    coords = default_grid(6).coords()
+    rows, full_hessians = [], []
+    init, zeros = Jet2.__init__, np.zeros
+
+    def recording_init(self, f, g, h, s):
+        assert (len(g), len(h)) == (len(s), len(s) * (len(s) + 1) // 2)
+        rows.append(len(s))
+        init(self, f, g, h, s)
+
+    def recording_zeros(shape, *args, **kwargs):
+        if np.ndim(shape) and shape[0] == 21:
+            full_hessians.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(Jet2, "__init__", recording_init)
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    grid_jet(spec, coords)
+    blocks = math.ceil(coords.shape[1] / _POINT_BLOCK)
+    # Per block: six one-row seeds; x_i * x_i and k_i x_i^2 for each i, each
+    # term after the first followed by a partial sum; the power and the
+    # product with A.  Then the blocks joined.
+    terms = [1, 1] + [r for k in range(2, 7) for r in (1, 1, k)]
+    assert rows == ([1] * 6 + terms + [6, 6]) * blocks + [6]
+    # Zero blocks of all 21 Hessian rows: only where the last partial sum
+    # embeds its two operands, none for a seed.
+    assert len(full_hessians) == 2 * blocks

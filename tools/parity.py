@@ -129,7 +129,7 @@ def library_cases():
     from prodgeo.classifier import SampleGrid, TolerancePolicy
     from prodgeo.cli import _FAMILY_ALIASES, _parse_params
     from prodgeo.economics import allen_determinant, allen_elasticity
-    from prodgeo.expr import Const, Div, Ln, Mul, Pow, Var, sum_chain
+    from prodgeo.expr import Const, Div, Ln, Mul, Neg, Pow, Var, sum_chain
     from prodgeo.geometry import hessian_determinant
     from prodgeo.jets import grid_jet, univariate_jet
 
@@ -208,6 +208,17 @@ def library_cases():
         ),
         ("repro/validate_acms_8in", lambda: validate(acms_8in, [(0.5, 2.0)] * 8)),
         ("repro/grid_subnormal", lambda: SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1).points()),
+        # Support-aware jets: the partial of an unused input is +0.0, and a
+        # structural zero is embedded as +0.0 where a dense jet held -0.0.
+        ("support/jet_3_minus_x1", lambda: jet(FunctionSpec(2, 3 - Var(0)), (1.0, 2.0))),
+        (
+            "support/jet_reciprocal_overflowing_product_3in",
+            lambda: jet(FunctionSpec(3, 1 + Div(Const(1.0), Mul(Var(0), Var(1)))), (1e200, 1e200, 1.0)),
+        ),
+        (
+            "support/jet_zero_times_x2_times_minus_x1",
+            lambda: jet(FunctionSpec(2, 1 + Mul(Mul(Var(1), Const(0.0)), Neg(Var(0)))), (1.0, 2.0)),
+        ),
     ]
     return cases
 
