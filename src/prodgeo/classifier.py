@@ -39,16 +39,14 @@ from .economics import substitution_values
 from .errors import ParameterViolation, ProdGeoError
 from .expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from .geometry import (
-    canonical_riemann_quads,
     gauss_kronecker,
     mean_curvature_of_jet,
-    riemann_component,
-    sectional_curvature,
+    plane_curvatures,
     slope_power,
     slope_w,
 )
 from .jets import SecondOrderJet, grid_jet
-from .linalg import ordered_pairs, pairs, quadratic_form
+from .linalg import ordered_pairs, quadratic_form
 from .points import Point
 
 __all__ = [
@@ -324,25 +322,19 @@ def _curvature_stats(
     n = jets.n
     g, h = jets.stacked
     w = slope_w(jets)
-    w2 = 1.0 + jets.gradient_sq
+    i, k = np.triu_indices(n, 1)
     abs_k = np.abs(gauss_kronecker(jets))[:, None]
     abs_h = np.abs(mean_curvature_of_jet(jets))[:, None]
-    abs_r = np.abs(np.stack([riemann_component(jets, *q) for q in canonical_riemann_quads(n)], axis=1))
-    abs_s = np.abs(np.stack([sectional_curvature(jets, i, k) for i, k in pairs(n)], axis=1))
     # Noise scales: a Hadamard-type bound on the quantity's terms (row
     # norm products for determinants and minors) over its normalizer.
     row_norms = np.sqrt((h * h).sum(axis=-1))
     k_noise = np.prod(row_norms, axis=-1) / slope_power(jets, n + 2)
-    ag = np.abs(g)
     h_noise = (
         np.abs(np.diagonal(h, axis1=-2, axis2=-1)).sum(axis=-1) / w
-        + quadratic_form(ag, np.abs(h)) / slope_power(jets, 3)
+        + quadratic_form(np.abs(g), np.abs(h)) / slope_power(jets, 3)
     ) / n
-    minor_noise = np.stack([row_norms[:, i] * row_norms[:, k] for i, k in pairs(n)], axis=1)
-    r_noise = minor_noise / (w2 * w2)[:, None]
-    s_noise = minor_noise / np.stack(
-        [w2 * (1.0 + g[:, i] * g[:, i] + g[:, k] * g[:, k]) for i, k in pairs(n)], axis=1
-    )
+    r, s, r_noise, s_noise = plane_curvatures(jets, i, k, row_norms.T[i] * row_norms.T[k])
+    abs_r, abs_s = np.abs(r).T, np.abs(s).T
     k_bound = _bound(tol, k_noise)
     r_bound = _bound(tol, r_noise)
     pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
@@ -358,14 +350,15 @@ def _curvature_stats(
 
 def _substitution_stats(
     jets: SecondOrderJet, coords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Output elasticities (P, n), |proportional-MRS deviations| (P, n(n-1))
+) -> tuple[np.ndarray, tuple[float, Optional[int]], np.ndarray]:
+    """Output elasticities (P, n), the largest |proportional-MRS deviation|
+    with its point's index (reduced at once, before the curvature pass)
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
     elasticities, mrs_ik, hicks = substitution_values(jets, coords)
-    hicks = list(hicks)
+    hicks = np.stack(list(hicks), axis=1)
     # proportional MRS means MRS_ik == x_i / x_k
     mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
-    return tuple(np.stack(c, axis=1) for c in (elasticities, mrs_dev, hicks))
+    return np.stack(elasticities, axis=1), _largest(np.stack(mrs_dev, axis=1)), hicks
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +397,7 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
         spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol))
     )
     properties = [_verdict(name, *curvature[name], coords) for name in _CURVATURE_VERDICTS]
-    properties.append(_verdict("proportional_mrs", *_largest(mrs_dev), tol.constancy_rel, coords))
+    properties.append(_verdict("proportional_mrs", *mrs_dev, tol.constancy_rel, coords))
     for i in range(spec.n):
         properties.append(
             _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], coords, tol)

@@ -67,12 +67,15 @@ def zero_marginal(gi: PointValues, gradient_sq: PointValues) -> PointValues:
 
 
 def _marginal(j: SecondOrderJet, i: int) -> PointValues:
-    gi = j.gradient[i]
-    zero = zero_marginal(gi, j.gradient_sq)
-    if j.anywhere(zero):
-        first = float(np.asarray(gi)[zero][0])
-        raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
-    return j.unbox(gi)
+    """The first partial of input i, checked to be nonzero once per jet."""
+    if i not in j.marginals:
+        gi = j.gradient[i]
+        zero = zero_marginal(gi, j.gradient_sq)
+        if j.anywhere(zero):
+            first = float(np.asarray(gi)[zero][0])
+            raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
+        j.marginals[i] = j.unbox(gi)
+    return j.marginals[i]
 
 
 def output_elasticity(j: SecondOrderJet, p, i: int) -> PointValues:

@@ -22,7 +22,10 @@ and the test suite holds it to 1e-9 relative.
 
 Every indicator takes a one-point jet, giving a float, or a grid jet
 (see :mod:`prodgeo.jets`), giving one value per point -- each the value
-the point's own jet gives, bit for bit.  Everything in this module is
+the point's own jet gives, bit for bit.  The pairwise indicators also
+take index arrays, such as the pairs ``np.triu_indices(n, 1)``, giving a
+leading axis of one value per entry; R(i,k,k,i) and K_ik share one minor,
+computed once by ``plane_curvatures``.  Everything in this module is
 pure; grids of points may be evaluated concurrently without
 coordination.
 """
@@ -48,6 +51,7 @@ __all__ = [
     "mean_curvature",
     "mean_curvature_of_jet",
     "minimality_residual",
+    "plane_curvatures",
     "sectional_curvature",
     "riemann_component",
     "canonical_riemann_quads",
@@ -113,18 +117,28 @@ def minimality_residual(j: SecondOrderJet) -> PointValues:
     return j.unbox(trace + j.gradient_sq * trace - quadratic_form(g, h))
 
 
-def sectional_curvature(j: SecondOrderJet, i: int, k: int) -> PointValues:
-    """Curvature of the coordinate plane section spanned by axes i and k."""
+def plane_curvatures(j: SecondOrderJet, i, k, *bounds) -> tuple[PointValues, ...]:
+    """R(i, k, k, i) and K_ik, the principal minor f_ii f_kk - f_ik^2 of axes
+    i and k over w^4 and over w^2 (1 + f_i^2 + f_k^2), then each of
+    ``bounds`` (on the minor's terms: a noise scale) over the same two.  As
+    the Hessian is mirrored bit for bit, R equals riemann_component(j, i,
+    k, k, i); the minor is computed once for both."""
     j.check_index(i, k)
-    if i == k:
+    if np.any(np.equal(i, k)):
         raise IndexError("sectional curvature needs two distinct axes")
     g, h = j.gradient, j.hessian
     w2 = 1.0 + j.gradient_sq
-    numerator = h[i, i] * h[k, k] - h[i, k] * h[i, k]
-    return j.unbox(numerator / (w2 * (1.0 + g[i] * g[i] + g[k] * g[k])))
+    minor = h[i, i] * h[k, k] - h[i, k] * h[i, k]
+    normalizers = (w2 * w2, w2 * (1.0 + g[i] * g[i] + g[k] * g[k]))
+    return tuple(j.unbox(v / d) for v in (minor, *bounds) for d in normalizers)
 
 
-def riemann_component(j: SecondOrderJet, i: int, k: int, l: int, m: int) -> PointValues:
+def sectional_curvature(j: SecondOrderJet, i, k) -> PointValues:
+    """Curvature of the coordinate plane section spanned by axes i and k."""
+    return plane_curvatures(j, i, k)[1]
+
+
+def riemann_component(j: SecondOrderJet, i, k, l, m) -> PointValues:
     """Component R(d_i, d_k, d_l, d_m) = (f_im f_kl - f_il f_km) / w^4."""
     j.check_index(i, k, l, m)
     h = j.hessian
@@ -167,13 +181,12 @@ def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
     n = j.n
     # The indicators that raise first, before the components that would
     # overflow at the same point.
+    w, k, mean = slope_w(j), gauss_kronecker(j), mean_curvature_of_jet(j)
+    riemann, sectional = plane_curvatures(j, *np.triu_indices(n, 1))
+    riemann = dict(zip(canonical_riemann_quads(n), riemann.tolist()))
+    riemann.update((q, riemann_component(j, *q)) for q in extra_quads)
     return CurvatureSample(
-        point=point,
-        w=slope_w(j),
-        gauss_kronecker=gauss_kronecker(j),
-        mean=mean_curvature_of_jet(j),
-        sectional=symmetric_matrix(n, [sectional_curvature(j, i, k) for i, k in pairs(n)]),
-        riemann={q: riemann_component(j, *q) for q in canonical_riemann_quads(n) + list(extra_quads)},
+        point=point, w=w, gauss_kronecker=k, mean=mean, sectional=symmetric_matrix(n, sectional), riemann=riemann
     )
 
 

@@ -248,11 +248,12 @@ class SecondOrderJet:
     def is_grid(self) -> bool:
         return self.gradient.ndim == 2
 
-    def check_index(self, *idx: int) -> None:
-        """Raise IndexError unless every index names an input."""
+    def check_index(self, *idx) -> None:
+        """Raise IndexError unless every index, or entry of an index array, names an input."""
         for i in idx:
-            if not 0 <= i < self.n:
-                raise IndexError(f"input index {i} out of range for n={self.n}")
+            for v in np.ravel(i).tolist() if isinstance(i, np.ndarray) else (i,):
+                if not 0 <= v < self.n:
+                    raise IndexError(f"input index {v} out of range for n={self.n}")
 
     def anywhere(self, mask) -> bool:
         """Whether ``mask`` holds at the point, or at any point of a grid."""
@@ -260,8 +261,8 @@ class SecondOrderJet:
 
     def unbox(self, x) -> PointValues:
         """``x`` as a float for a one-point jet; unchanged, one entry per
-        point, for a grid jet."""
-        return x if self.is_grid else float(x)
+        point, for a grid jet, and for values of an array of indices."""
+        return x if self.is_grid or np.ndim(x) else float(x)
 
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,6 +285,11 @@ class SecondOrderJet:
     @cached_property
     def slope_powers(self) -> dict[int, PointValues]:
         """w ** e by exponent e, as ``geometry.slope_power`` has computed them."""
+        return {}
+
+    @cached_property
+    def marginals(self) -> dict[int, PointValues]:
+        """The first partials by input, as ``economics`` has checked them nonzero."""
         return {}
 
 

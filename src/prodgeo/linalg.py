@@ -2,9 +2,9 @@
 time or stacked, and the input pairs that index pairwise indicators.
 
 A stack puts its leading axis first, as numpy does: (P, m, m) matrices,
-(P, n) vectors.  Each member of a stack is rounded exactly as it would
-be on its own, so a grid of points gives the numbers of a loop over its
-points, bit for bit.
+(P, n) vectors; ``det_pivoted`` eliminates on a points-last copy inside.
+Each member of a stack is rounded exactly as it would be on its own, so
+a grid of points gives the numbers of a loop over its points, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +24,15 @@ def det_pivoted(a: np.ndarray):
     formula, which is exact for the rank checks built on 2x2 minors.
 
     ``a`` is one (m, m) matrix, giving a float, or a (P, m, m) stack,
-    giving one determinant per matrix.  Each matrix of a stack keeps its
-    own pivot choices and elimination order; a zero pivot zeroes only
-    that matrix's determinant.  One matrix is a stack of one.  Overflow
-    gives +-inf or NaN, without a warning.
+    giving one determinant per matrix; ``a`` is left as it is.  Each matrix
+    of a stack keeps its own pivots (the first largest |entry|) and order
+    of operations; a zero pivot zeroes only that matrix's determinant.  One
+    matrix is a stack of one.  Overflow gives +-inf or NaN, without a
+    warning.  The elimination runs on a points-last (m, m, P) copy, on all
+    rows below the pivot at once: none reads another, so each is rounded
+    as in a loop over the rows.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     m, mm = a.shape[-2:]
     if m != mm:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -40,22 +43,23 @@ def det_pivoted(a: np.ndarray):
             return a[:, 0, 0].copy()
         if m == 2:
             return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-        rows = np.arange(len(a))
+        t = np.moveaxis(a, 0, -1).copy()
         det = np.ones(len(a))
         singular = np.zeros(len(a), dtype=bool)
         for col in range(m):
-            piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-            singular |= a[rows, piv, col] == 0.0
-            pivot_rows = a[rows, piv].copy()
-            a[rows, piv] = a[:, col]
-            a[:, col] = pivot_rows
-            det = np.where(piv != col, -det, det)
-            det *= a[:, col, col]
+            piv = col + np.argmax(np.abs(t[col:, col]), axis=0)
+            swap = np.flatnonzero(piv != col)
+            rows = piv[swap]
+            pivot_rows = t[rows, col:, swap]
+            t[rows, col:, swap] = t[col, col:, swap]
+            t[col, col:, swap] = pivot_rows
+            det[swap] = -det[swap]
+            diagonal = t[col, col]
+            singular |= diagonal == 0.0
+            det *= diagonal
             # A singular matrix is done; dividing by 1 keeps it finite.
-            pivot = np.where(singular, 1.0, a[:, col, col])
-            for row in range(col + 1, m):
-                factor = a[:, row, col] / pivot
-                a[:, row, col:] -= factor[:, None] * a[:, col, col:]
+            factor = t[col + 1 :, col] / np.where(singular, 1.0, diagonal)
+            t[col + 1 :, col:] -= factor[:, None] * t[col, col:]
         return np.where(singular, 0.0, det)
 
 
@@ -77,7 +81,8 @@ def quadratic_form(u: np.ndarray, m: np.ndarray | None = None):
 
 
 def pairs(n: int) -> list[tuple[int, int]]:
-    """The input pairs i < k, in the order of a loop over i, then k."""
+    """The input pairs i < k, in the order of a loop over i, then k, which
+    is also the order of the index arrays ``np.triu_indices(n, 1)``."""
     return [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
@@ -98,8 +103,8 @@ def pair_matrix(n: int, at: list[tuple[int, int]], values: list, diagonal: float
     return matrix
 
 
-def symmetric_matrix(n: int, values: list) -> np.ndarray:
+def symmetric_matrix(n: int, values) -> np.ndarray:
     """``pair_matrix`` of one value per pair i < k, mirrored, with NaN
     (undefined for a single input) on the diagonal."""
     at = pairs(n)
-    return pair_matrix(n, at + [(k, i) for i, k in at], values + values, math.nan)
+    return pair_matrix(n, at + [(k, i) for i, k in at], [*values, *values], math.nan)

@@ -58,7 +58,7 @@ def _fields(j: SecondOrderJet, x) -> dict:
         slope=slope_w(j),
         gauss_kronecker=gauss_kronecker(j),
         mean_curvature=mean_curvature_of_jet(j),
-        sectional=symmetric_matrix(j.n, [sectional_curvature(j, i, k) for i, k in pairs(j.n)]),
+        sectional=symmetric_matrix(j.n, sectional_curvature(j, *np.triu_indices(j.n, 1))),
     )
 
 
@@ -80,7 +80,7 @@ def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
     """The reports of ``grid_reports`` as one (P, m) array, one row per
     point and one column per name of ``report_header``."""
     coords, f = grid_pass(spec, grid, _fields)
-    i, k = np.array(pairs(spec.n)).T
+    i, k = np.triu_indices(spec.n, 1)
     oi, ok = np.array(ordered_pairs(spec.n)).T
     return np.column_stack([
         coords.T, f["value"], f["slope"], f["gauss_kronecker"], f["mean_curvature"], f["sectional"][:, i, k],

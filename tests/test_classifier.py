@@ -301,6 +301,34 @@ def test_classify_maps_each_slope_power_over_the_grid_once(monkeypatch):
     assert sorted(exponents) == [3] * points + [5] * points
 
 
+def test_classify_checks_each_marginal_product_once(monkeypatch):
+    # MRS of every ordered pair and Hicks of every pair divide by the
+    # partials; each input's partial is checked once per jet, in input order.
+    import prodgeo.economics
+    from prodgeo.economics import substitution_values
+    from prodgeo.jets import SecondOrderJet
+
+    checked = []
+    real = prodgeo.economics.zero_marginal
+
+    def counting(gi, gradient_sq):
+        checked.append(gi)
+        return real(gi, gradient_sq)
+
+    monkeypatch.setattr(prodgeo.economics, "zero_marginal", counting)
+    spec = build_family("acms", {"A": 1.2, "k": (1.0, 0.5, 0.25, 0.7, 0.9, 0.4), "rho": 2.0, "gamma": 1.5})
+    grid = default_grid(6)
+    classify(spec, grid)
+    gradient = grid_jet(spec, grid.coords()).gradient
+    assert len(checked) == 6
+    assert all(np.array_equal(g, gradient[i]) for i, g in enumerate(checked))
+    # one input: no ratio of partials, nothing to check
+    checked.clear()
+    one_input = SecondOrderJet(2.0, np.array([0.5]), np.array([[-0.25]]))
+    elasticities, mrs_values, hicks = substitution_values(one_input, (1.5,))
+    assert (len(elasticities), mrs_values, list(hicks), checked) == (1, [], [], [])
+
+
 def test_classify_names_the_first_point_of_a_curvature_overflow():
     # w ** 4 overflows at every point of the grid; the error names the
     # first, with the message that the per-point reports raise.

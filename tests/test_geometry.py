@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
 from prodgeo.errors import DegenerateOuter, DomainViolation, ProdGeoError, StructureMissing
@@ -18,12 +21,14 @@ from prodgeo.geometry import (
     mean_curvature,
     mean_curvature_of_jet,
     minimality_residual,
+    plane_curvatures,
     quasi_product_hessian_det,
     riemann_component,
     sectional_curvature,
     slope_w,
 )
 from prodgeo.jets import jet
+from prodgeo.linalg import det_pivoted, pairs
 
 PARABOLOID = FunctionSpec(2, Pow(Var(0), 2.0) + Pow(Var(1), 2.0))
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
@@ -388,3 +393,100 @@ def test_curvature_of_grid_jet_equals_each_point_bitwise(spec):
             single = f(jet(spec, p))
             assert type(single) is float
             assert _bits(values[k]) == _bits(single)
+
+
+def _det_row_by_row(a) -> np.ndarray:
+    """Reference determinants of a (P, m, m) stack: partial pivoting on the
+    points-first stack, eliminating one row below the pivot at a time."""
+    a = np.array(a, dtype=float)
+    m = a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m == 1:
+            return a[:, 0, 0].copy()
+        if m == 2:
+            return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        rows = np.arange(len(a))
+        det = np.ones(len(a))
+        singular = np.zeros(len(a), dtype=bool)
+        for col in range(m):
+            piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+            singular |= a[rows, piv, col] == 0.0
+            pivot_rows = a[rows, piv].copy()
+            a[rows, piv] = a[:, col]
+            a[:, col] = pivot_rows
+            det = np.where(piv != col, -det, det)
+            det *= a[:, col, col]
+            pivot = np.where(singular, 1.0, a[:, col, col])
+            for row in range(col + 1, m):
+                factor = a[:, row, col] / pivot
+                a[:, row, col:] -= factor[:, None] * a[:, col, col:]
+        return np.where(singular, 0.0, det)
+
+
+@st.composite
+def det_stacks(draw):
+    """(P, m, m) stacks with tied |pivots|, zero columns, late zero pivots,
+    -0.0 and, in some, inf and NaN entries; of integers in some draws, and
+    a points-last view in others."""
+    m, p = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        stack = draw(arrays(np.int64, (p, m, m), elements=st.integers(-3, 3)))
+    else:
+        pool = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5] + ([math.inf, -math.inf, math.nan] if draw(st.booleans()) else [])
+        stack = draw(arrays(np.float64, (p, m, m), elements=st.sampled_from(pool) | st.floats(-8.0, 8.0, width=16)))
+    for k in draw(st.lists(st.integers(0, p - 1), max_size=3)):
+        stack[k, :, draw(st.integers(0, m - 1))] = 0
+    for k in draw(st.lists(st.integers(0, p - 1), max_size=3 if m > 1 else 0)):
+        # the last row a multiple of the one above: a zero pivot in the last column
+        stack[k, -1] = 2 * stack[k, -2]
+    if draw(st.booleans()):
+        stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_stacks())
+def test_det_pivoted_equals_the_row_by_row_elimination_bitwise(stack):
+    before = stack.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = det_pivoted(stack)
+        single = det_pivoted(stack[0])
+    assert _bits(dets) == _bits(_det_row_by_row(stack))
+    assert type(single) is float and _bits(single) == _bits(dets[0])
+    assert stack.dtype == before.dtype and _bits(stack) == _bits(before)
+
+
+ACMS_4IN = build_family("acms", {"A": 1.2, "k": (1.0, 0.5, 0.25, 0.7), "rho": 2.0, "gamma": 1.5})
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_pairwise_indicators_of_index_arrays_equal_each_pair_bitwise(on_grid):
+    from prodgeo.classifier import default_grid
+    from prodgeo.jets import grid_jet
+
+    n = ACMS_4IN.n
+    j = grid_jet(ACMS_4IN, default_grid(n, seed=2).coords()) if on_grid else jet(ACMS_4IN, (0.7, 1.3, 0.9, 1.8))
+    i, k = np.triu_indices(n, 1)
+    assert list(zip(i.tolist(), k.tolist())) == pairs(n)
+    # reversed pairs and repeats are index arrays too
+    for a, b in [(i, k), (k, i), (np.array([2, 0, 2]), np.array([3, 3, 3]))]:
+        each_s = [sectional_curvature(j, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        each_r = [riemann_component(j, x, y, y, x) for x, y in zip(a.tolist(), b.tolist())]
+        assert _bits(sectional_curvature(j, a, b)) == _bits(each_s)
+        assert _bits(riemann_component(j, a, b, b, a)) == _bits(each_r)
+        r, s = plane_curvatures(j, a, b)
+        assert (_bits(r), _bits(s)) == (_bits(each_r), _bits(each_s))
+    assert _bits(riemann_component(j, i, k, i, k)) == _bits([riemann_component(j, x, y, x, y) for x, y in pairs(n)])
+
+
+def test_pairwise_indicators_reject_bad_index_arrays():
+    j = jet(ACMS_4IN, (0.7, 1.3, 0.9, 1.8))
+    i, k = np.triu_indices(4, 1)
+    for a, b in [(i, np.where(k == 3, 4, k)), (np.where(i == 1, -1, i), k)]:
+        with pytest.raises(IndexError, match="out of range"):
+            sectional_curvature(j, a, b)
+        with pytest.raises(IndexError, match="out of range"):
+            riemann_component(j, a, b, b, a)
+    with pytest.raises(IndexError, match="two distinct axes"):
+        sectional_curvature(j, np.array([0, 1, 2]), np.array([1, 1, 3]))

@@ -220,7 +220,58 @@ def library_cases():
             lambda: jet(FunctionSpec(2, 1 + Mul(Mul(Var(1), Const(0.0)), Neg(Var(0)))), (1.0, 2.0)),
         ),
     ]
+    from prodgeo.geometry import riemann_component, sectional_curvature
+    from prodgeo.linalg import det_pivoted
+
+    for name, stack in _det_stacks():
+        cases.append((f"det_pivoted/{name}", lambda a=stack: det_pivoted(a)))
+        cases.append((f"det_pivoted/{name}/first", lambda a=stack: det_pivoted(a[0])))
+    acms_6in = build_family("acms", _parse_params(dict((f[0], f[2]) for f in FAMILIES)["acms_6in"]))
+    i, k = np.triu_indices(6, 1)
+    acms_6in_jet = grid_jet(acms_6in, default_grid(6).coords())
+    cases += [
+        ("pairwise/sectional_acms_6in", lambda: _pairwise(sectional_curvature, acms_6in_jet, i, k)),
+        ("pairwise/sectional_acms_6in_reversed", lambda: _pairwise(sectional_curvature, acms_6in_jet, k, i)),
+        ("pairwise/riemann_acms_6in", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, k, i)),
+        ("pairwise/riemann_acms_6in_ikik", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, i, k)),
+    ]
     return cases
+
+
+def _det_stacks():
+    """(id, stack) of fixed edge stacks for ``det_pivoted``, for m = 1..7: tied
+    |pivots| of both signs, a repeated row, a zero column, -0.0, inf and
+    NaN entries, and seeded random matrices."""
+    rng = np.random.default_rng(15)
+    stacks = []
+    for m in range(1, 8):
+        tied = np.tile(np.where(np.arange(m) % 2, -2.0, 2.0), (m, 1)).T + np.diag(np.arange(m) * 0.5)
+        repeated = rng.standard_normal((m, m))
+        repeated[-1] = repeated[0]
+        zero_column = rng.standard_normal((m, m))
+        zero_column[:, m // 2] = 0.0
+        negative_zero = np.where(rng.random((m, m)) < 0.5, -0.0, rng.integers(-2, 3, (m, m)).astype(float))
+        with_inf, with_nan = rng.standard_normal((2, m, m))
+        with_inf[m // 2, m - 1] = -np.inf
+        with_nan[m - 1, 0] = np.nan
+        stack = np.array([tied, repeated, zero_column, negative_zero, with_inf, with_nan, *rng.standard_normal((4, m, m))])
+        stacks += [
+            (f"m{m}", stack),
+            (f"m{m}_points_last", np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)),
+            (f"m{m}_integers", rng.integers(-3, 4, (12, m, m))),
+        ]
+    return stacks
+
+
+def _pairwise(indicator, j, *index):
+    """``indicator`` of the index arrays ``index``; on a tree whose
+    indicators take one index each (and fail on an array's truth value),
+    the stack of its values pair by pair, so that ``--against`` compares
+    the two forms."""
+    try:
+        return indicator(j, *index)
+    except ValueError:
+        return np.stack([indicator(j, *q) for q in zip(*(a.tolist() for a in index))])
 
 
 def _canonical(x):
