@@ -28,9 +28,9 @@ def det_pivoted(a: np.ndarray):
     of a stack keeps its own pivots (the first largest |entry|) and order
     of operations; a zero pivot zeroes only that matrix's determinant.  One
     matrix is a stack of one.  Overflow gives +-inf or NaN, without a
-    warning.  The elimination runs on a points-last (m, m, P) copy, on all
-    rows below the pivot at once: none reads another, so each is rounded
-    as in a loop over the rows.
+    warning; the sign of a NaN is not part of the result.  The elimination
+    runs on a points-last (m, m, P) copy, on all rows below the pivot at
+    once: none reads another, so each is rounded as in a loop over the rows.
     """
     a = np.asarray(a, dtype=float)
     m, mm = a.shape[-2:]

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -444,16 +444,32 @@ def det_stacks(draw):
     return stack
 
 
+def _bits_any_nan(x) -> bytes:
+    """``_bits`` with every NaN as one NaN.  numpy's SIMD loops do not keep
+    the operand order of ``a * b`` when both are NaN: the sign of the NaN
+    that comes out depends on the length and layout of the arrays, so the
+    row-by-row elimination itself gives either sign for the same matrices."""
+    x = np.asarray(x, dtype=float)
+    return _bits(np.where(np.isnan(x), np.nan, x))
+
+
+# All-inf matrices: the elimination makes negative NaNs, which meet the
+# positive NaN of the last entry when the determinant is multiplied up.
+_INF_STACK_WITH_A_NAN = np.full((25, 3, 3), math.inf)
+_INF_STACK_WITH_A_NAN[-1, 2, 2] = math.nan
+
+
 @settings(max_examples=150, deadline=None)
 @given(det_stacks())
+@example(_INF_STACK_WITH_A_NAN)
 def test_det_pivoted_equals_the_row_by_row_elimination_bitwise(stack):
     before = stack.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dets = det_pivoted(stack)
         single = det_pivoted(stack[0])
-    assert _bits(dets) == _bits(_det_row_by_row(stack))
-    assert type(single) is float and _bits(single) == _bits(dets[0])
+    assert _bits_any_nan(dets) == _bits_any_nan(_det_row_by_row(stack))
+    assert type(single) is float and _bits_any_nan(single) == _bits_any_nan(dets[0])
     assert stack.dtype == before.dtype and _bits(stack) == _bits(before)
 
 
