@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import MAX_GRID_POINTS, FunctionSpec, build_family, build_quasi_product
-from .economics import substitution_values
+from .economics import hicks_elasticity, mrs, output_elasticity
 from .errors import ParameterViolation, ProdGeoError
 from .expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from .geometry import (
@@ -46,7 +46,7 @@ from .geometry import (
     slope_w,
 )
 from .jets import SecondOrderJet, grid_jet
-from .linalg import ordered_pairs, quadratic_form
+from .linalg import quadratic_form, triu
 from .points import Point
 
 __all__ = [
@@ -322,7 +322,7 @@ def _curvature_stats(
     n = jets.n
     g, h = jets.stacked
     w = slope_w(jets)
-    i, k = np.triu_indices(n, 1)
+    i, k = triu(n, 1)
     abs_k = np.abs(gauss_kronecker(jets))[:, None]
     abs_h = np.abs(mean_curvature_of_jet(jets))[:, None]
     # Noise scales: a Hadamard-type bound on the quantity's terms (row
@@ -354,11 +354,12 @@ def _substitution_stats(
     """Output elasticities (P, n), the largest |proportional-MRS deviation|
     with its point's index (reduced at once, before the curvature pass)
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
-    elasticities, mrs_ik, hicks = substitution_values(jets, coords)
-    hicks = np.stack(list(hicks), axis=1)
+    n = jets.n
+    i, k = np.nonzero(~np.eye(n, dtype=bool))
+    elasticities = output_elasticity(jets, coords, np.arange(n))
     # proportional MRS means MRS_ik == x_i / x_k
-    mrs_dev = [abs(v * coords[k] / coords[i] - 1.0) for v, (i, k) in zip(mrs_ik, ordered_pairs(jets.n))]
-    return np.stack(elasticities, axis=1), _largest(np.stack(mrs_dev, axis=1)), hicks
+    mrs_dev = _largest(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0).T)
+    return elasticities.T, mrs_dev, hicks_elasticity(jets, coords, *triu(n, 1)).T
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +411,8 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    _, (_, _, hicks) = grid_pass(spec, grid, _substitution_stats)
-    return _mean_spread(hicks)
+    _, hicks = grid_pass(spec, grid, lambda j, x: hicks_elasticity(j, x, *triu(j.n, 1)))
+    return _mean_spread(hicks.T)
 
 
 # ---------------------------------------------------------------------------

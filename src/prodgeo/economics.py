@@ -26,19 +26,25 @@ multiplied by a constant.
 Every indicator also takes a grid jet (see :mod:`prodgeo.jets`) with the
 (n, P) array of its points' coordinates, giving one value per point --
 each the value the point's own jet gives, bit for bit; a check that
-fails at any point raises.
+fails at any point raises.  A point is computed in numpy too, so an
+underflow gives what the grid gives there, never a ZeroDivisionError.
+
+``output_elasticity``, ``mrs`` and ``hicks_elasticity`` also take index
+arrays (``np.arange(n)``, the ordered pairs, ``np.triu_indices(n, 1)``),
+giving a leading axis of one value per entry.  Each input's marginal
+product is checked once per jet, in ascending order within a call; a
+degenerate Hicks denominator names the first failing pair given.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDenominator, DomainViolation, SingularAllenDeterminant, ZeroMarginalProduct
-from .jets import PointValues, SecondOrderJet
-from .linalg import det_pivoted, ordered_pairs, pair_matrix, pairs, quadratic_form, symmetric_matrix
+from .jets import PointValues, SecondOrderJet, _read_only
+from .linalg import det_pivoted, pair_matrix, pairs, quadratic_form, symmetric_matrix, triu
 from .points import Point, as_point
 
 __all__ = [
@@ -55,10 +61,10 @@ __all__ = [
 ZERO_MARGINAL_RTOL = 1e-12
 
 
-def _coords(p):
-    """A point's coordinates, or for a grid jet the (n, P) array of its
-    points' coordinates, as given."""
-    return p if isinstance(p, np.ndarray) else as_point(p)
+def _coords(p, i):
+    """The coordinates of inputs ``i``, an index or index array, of a point
+    as numpy values, or the rows ``i`` of a grid jet's (n, P) coordinates."""
+    return (p if isinstance(p, np.ndarray) else np.array(as_point(p).coords))[i]
 
 
 def zero_marginal(gi: PointValues, gradient_sq: PointValues) -> PointValues:
@@ -66,56 +72,55 @@ def zero_marginal(gi: PointValues, gradient_sq: PointValues) -> PointValues:
     return abs(gi) <= ZERO_MARGINAL_RTOL * np.sqrt(gradient_sq)
 
 
-def _marginal(j: SecondOrderJet, i: int) -> PointValues:
-    """The first partial of input i, checked to be nonzero once per jet."""
-    if i not in j.marginals:
+def _check_marginals(j: SecondOrderJet, *idx) -> None:
+    """Check the first partials of the inputs ``idx``, each an index or
+    index array, to be nonzero: each input once per jet, in ascending order."""
+    for i in sorted(set(np.concatenate([np.ravel(a) for a in idx]).tolist()) - j.marginals):
         gi = j.gradient[i]
         zero = zero_marginal(gi, j.gradient_sq)
-        if j.anywhere(zero):
+        if zero.any():
             first = float(np.asarray(gi)[zero][0])
             raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
-        j.marginals[i] = j.unbox(gi)
-    return j.marginals[i]
+        j.marginals.add(i)
 
 
-def output_elasticity(j: SecondOrderJet, p, i: int) -> PointValues:
+def output_elasticity(j: SecondOrderJet, p, i) -> PointValues:
     """Percentage output response to a percentage change of input i."""
     j.check_index(i)
-    x = _coords(p)
-    return j.unbox(x[i] * j.gradient[i] / j.value)
+    return j.unbox(_coords(p, i) * j.gradient[i] / j.value)
 
 
-def mrs(j: SecondOrderJet, i: int, k: int) -> PointValues:
+def mrs(j: SecondOrderJet, i, k) -> PointValues:
     """Marginal rate of technical substitution of input k for input i."""
     j.check_index(i, k)
-    return j.unbox(j.gradient[k] / _marginal(j, i))
+    _check_marginals(j, i)
+    return j.unbox(j.gradient[k] / j.gradient[i])
 
 
-def hicks_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
+def hicks_elasticity(j: SecondOrderJet, p, i, k) -> PointValues:
     """Hicks elasticity of substitution between inputs i and k.
 
     The formula is symmetric in (i, k); arguments are ordered internally
     so the returned value is identical bit for bit either way.
     """
     j.check_index(i, k)
-    if i == k:
+    if np.equal(i, k).any():
         raise IndexError("substitution elasticity needs two distinct inputs")
-    i, k = (i, k) if i < k else (k, i)
-    x = _coords(p)
-    gi = _marginal(j, i)
-    gk = _marginal(j, k)
-    h = j.hessian
-    numerator = 1.0 / (x[i] * gi) + 1.0 / (x[k] * gk)
-    t_ii = h[i, i] / (gi * gi)
-    t_ik = 2.0 * h[i, k] / (gi * gk)
-    t_kk = h[k, k] / (gk * gk)
-    denominator = -t_ii + t_ik - t_kk
-    degenerate = abs(denominator) <= ZERO_MARGINAL_RTOL * (abs(t_ii) + abs(t_ik) + abs(t_kk))
-    if j.anywhere(degenerate):
-        raise DegenerateDenominator(
-            f"substitution denominator is numerically zero for inputs {i + 1}, {k + 1}"
-        )
-    return j.unbox(numerator / denominator)
+    i, k = np.minimum(i, k), np.maximum(i, k)
+    _check_marginals(j, i, k)
+    g, h, diagonal = j.gradient, j.hessian, range(j.n)
+    with np.errstate(all="ignore"):
+        # 1/(x_i f_i) and f_ii/f_i^2 once per input, gathered for each pair: fewer (pairs, P) temporaries.
+        reciprocal, own = 1.0 / (_coords(p, ...) * g), h[diagonal, diagonal] / (g * g)
+        t_ik = 2.0 * h[i, k] / (g[i] * g[k])
+        denominator = -own[i] + t_ik - own[k]
+        degenerate = abs(denominator) <= ZERO_MARGINAL_RTOL * (abs(own)[i] + abs(t_ik) + abs(own)[k])
+        if degenerate.any():
+            at = tuple(np.argwhere(degenerate)[0][: np.ndim(i)])
+            raise DegenerateDenominator(
+                f"substitution denominator is numerically zero for inputs {i[at] + 1}, {k[at] + 1}"
+            )
+        return j.unbox((reciprocal[i] + reciprocal[k]) / denominator)
 
 
 def allen_bordered_matrix(j: SecondOrderJet) -> np.ndarray:
@@ -134,32 +139,32 @@ def allen_determinant(j: SecondOrderJet) -> PointValues:
     return det_pivoted(allen_bordered_matrix(j))
 
 
-def _allen(j: SecondOrderJet, x) -> tuple[list[PointValues], PointValues]:
-    """Allen elasticities of the pairs i < k, in order, and the bordered
-    determinant, at the point or grid of ``j`` with coordinates ``x``.
-    One stacked determinant gives the cofactors of all pairs."""
+def _allen(j: SecondOrderJet, p) -> tuple[np.ndarray, PointValues]:
+    """Allen elasticities of the pairs ``np.triu_indices(n, 1)``, with a
+    leading axis of one value per pair, and the bordered determinant, at
+    the point or grid of ``j`` with coordinates ``p``.  One stacked
+    determinant gives the cofactors of all pairs."""
     n = j.n
     b = allen_bordered_matrix(j)
     delta = det_pivoted(b)
-    if j.anywhere(bad := ~np.isfinite(delta)):
+    if (bad := ~np.isfinite(delta)).any():
         raise DomainViolation(f"bordered determinant is not finite ({float(np.asarray(delta)[bad][0])!r})")
     row_norms = np.sqrt(quadratic_form(b.reshape(-1, n + 1))).reshape(b.shape[:-1])
     singular = abs(delta) <= ZERO_MARGINAL_RTOL * np.prod(row_norms, axis=-1)
-    if j.anywhere(singular):
+    if singular.any():
         first = float(np.asarray(delta)[singular][0])
         raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({first!r})")
-    # The cofactor of f_ik leaves out row i+1 and column k+1.
-    at = pairs(n)
-    minors = np.stack([np.delete(np.delete(b, i + 1, axis=-2), k + 1, axis=-1) for i, k in at], axis=-3)
+    # The cofactor of f_ik leaves out row i+1 and column k+1, with sign (-1)^(i+k).
+    i, k = triu(n, 1)
+    rows, cols = (np.arange(n) + (np.arange(n) >= m[:, None] + 1) for m in (i, k))
+    minors = b[..., rows[:, :, None], cols[:, None, :]]
     minor_dets = det_pivoted(minors.reshape(-1, n, n)).reshape(minors.shape[:-2])
+    cofactors = ((-1.0) ** (i + k) * minor_dets).T
     # x @ grad by matmul, which rounds each point as the 1-D ``@`` does.
-    xs = np.ascontiguousarray(x.T) if j.is_grid else np.array(x.coords)
-    weighted = (xs[..., None, :] @ j.stacked[0][..., :, None])[..., 0, 0]
-    values = []
-    for m, (i, k) in enumerate(at):
-        cofactor = (-1.0) ** ((i + 1) + (k + 1)) * minor_dets[..., m]
-        values.append(j.unbox(weighted / (x[i] * x[k]) * cofactor / delta))
-    return values, delta
+    x = _coords(p, ...)
+    weighted = (np.ascontiguousarray(x.T)[..., None, :] @ j.stacked[0][..., :, None])[..., 0, 0]
+    with np.errstate(all="ignore"):
+        return weighted / (x[i] * x[k]) * cofactors / delta, delta
 
 
 def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
@@ -167,21 +172,7 @@ def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
     j.check_index(i, k)
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
-    values, _ = _allen(j, _coords(p))
-    return values[pairs(j.n).index((min(i, k), max(i, k)))]
-
-
-def substitution_values(j: SecondOrderJet, x) -> tuple[list, list, Iterator[PointValues]]:
-    """Output elasticities per input and MRS per ordered pair, as lists,
-    and an iterator over the Hicks elasticities per pair, at the point or
-    grid of ``j`` with coordinates ``x``.  Checks run as the values are
-    computed, in the order of a loop over the inputs at one point."""
-    n = j.n
-    return (
-        [output_elasticity(j, x, i) for i in range(n)],
-        [mrs(j, i, k) for i, k in ordered_pairs(n)],
-        (hicks_elasticity(j, x, i, k) for i, k in pairs(n)),
-    )
+    return j.unbox(_allen(j, p)[0][pairs(j.n).index((min(i, k), max(i, k)))])
 
 
 def substitution_fields(j: SecondOrderJet, x) -> dict:
@@ -189,18 +180,19 @@ def substitution_fields(j: SecondOrderJet, x) -> dict:
     grid of ``j`` with coordinates ``x``; a grid's fields carry a leading
     point axis."""
     n = j.n
-    elasticities, mrs_values, hicks = substitution_values(j, x)
-    # The bordered determinant is checked after the first Hicks value: a
+    i, k = triu(n, 1)
+    elasticities = _read_only(output_elasticity(j, x, np.arange(n)).T)
+    ordered = np.nonzero(~np.eye(n, dtype=bool))
+    mrs_values = mrs(j, *ordered)
+    # The bordered determinant is checked after the first Hicks pair: a
     # point where both fail reports the Hicks error, as a loop over the
     # pairs computing Hicks, then Allen elasticities would.
-    first_hicks = next(hicks)
+    first_hicks = hicks_elasticity(j, x, i[:1], k[:1])
     allen, delta = _allen(j, x)
-    elasticities = np.stack(elasticities, axis=-1)
-    elasticities.setflags(write=False)
     return dict(
         elasticities=elasticities,
-        mrs=pair_matrix(n, ordered_pairs(n), mrs_values, 1.0),
-        hicks=symmetric_matrix(n, [first_hicks, *hicks]),
+        mrs=pair_matrix(n, *ordered, mrs_values, 1.0),
+        hicks=symmetric_matrix(n, np.concatenate([first_hicks, hicks_elasticity(j, x, i[1:], k[1:])])),
         allen=symmetric_matrix(n, allen),
         allen_determinant=delta,
     )

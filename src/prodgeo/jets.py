@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from .expr import Expr, _exp_scalar, eval_expr, eval_value, variables
-from .linalg import quadratic_form
+from .linalg import quadratic_form, triu
 from .points import as_point
 
 if TYPE_CHECKING:
@@ -82,15 +82,11 @@ def _pow_terms(x: float, e: float) -> tuple[float, float, float]:
         raise DomainViolation(f"power overflow: {x!r} ** {e!r}") from None
 
 
-#: Rows and columns of the upper triangle of an n x n matrix: the order of a packed Hessian.
-_triu = cache(np.triu_indices)
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The packed upper triangle of np.outer(a, b), at one point and at each point of a grid."""
     if len(a) == 1:
         return a * b
-    rows, cols = _triu(len(a))
+    rows, cols = triu(len(a))
     return a[rows] * b[cols]
 
 
@@ -101,7 +97,7 @@ _union = cache(lambda s, t: tuple(sorted({*s, *t})))
 def _slots(s: tuple, u: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Where the gradient and packed Hessian rows over ``s`` sit among those over its superset ``u``."""
     rows = np.searchsorted(u, s)
-    i, j = (rows[k] for k in _triu(len(s)))
+    i, j = (rows[k] for k in triu(len(s)))
     return rows, i * len(u) - i * (i - 1) // 2 + j - i
 
 
@@ -250,14 +246,9 @@ class SecondOrderJet:
 
     def check_index(self, *idx) -> None:
         """Raise IndexError unless every index, or entry of an index array, names an input."""
-        for i in idx:
-            for v in np.ravel(i).tolist() if isinstance(i, np.ndarray) else (i,):
-                if not 0 <= v < self.n:
-                    raise IndexError(f"input index {v} out of range for n={self.n}")
-
-    def anywhere(self, mask) -> bool:
-        """Whether ``mask`` holds at the point, or at any point of a grid."""
-        return bool(mask.any() if self.is_grid else mask)
+        for v in np.concatenate([np.ravel(i) for i in idx]).tolist():
+            if not 0 <= v < self.n:
+                raise IndexError(f"input index {v} out of range for n={self.n}")
 
     def unbox(self, x) -> PointValues:
         """``x`` as a float for a one-point jet; unchanged, one entry per
@@ -288,9 +279,10 @@ class SecondOrderJet:
         return {}
 
     @cached_property
-    def marginals(self) -> dict[int, PointValues]:
-        """The first partials by input, as ``economics`` has checked them nonzero."""
-        return {}
+    def marginals(self) -> set[int]:
+        """The inputs whose first partials ``economics`` has checked to be
+        nonzero; the partials themselves are read from ``gradient``."""
+        return set()
 
 
 def gradient_norm_sq(g: np.ndarray) -> PointValues:
@@ -314,7 +306,7 @@ def _freeze_jet(value: PointValues, gradient: np.ndarray, hessian: np.ndarray) -
     # triu(h) + triu(h, 1).T does.
     n = gradient.shape[0]
     sym = np.empty((n, n) + hessian.shape[1:])
-    sym[_triu(n)] = sym[_triu(n)[::-1]] = hessian + 0.0
+    sym[triu(n)] = sym[triu(n)[::-1]] = hessian + 0.0
     value = _read_only(value.copy()) if isinstance(value, np.ndarray) else float(value)
     return SecondOrderJet(value, _read_only(gradient.copy()), _read_only(sym))
 
@@ -442,4 +434,4 @@ def fd_oracle(spec: "FunctionSpec", p, h: float = 1e-4) -> SecondOrderJet:
             hessian[i, j] = (
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4.0 * steps[i] * steps[j])
-    return _freeze_jet(f0, gradient, hessian[_triu(n)])
+    return _freeze_jet(f0, gradient, hessian[triu(n)])

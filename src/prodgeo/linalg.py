@@ -10,10 +10,14 @@ a grid of points gives the numbers of a loop over its points, bit for bit.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
-__all__ = ["det_pivoted", "quadratic_form", "pairs", "ordered_pairs", "pair_matrix", "symmetric_matrix"]
+__all__ = ["det_pivoted", "quadratic_form", "triu", "pairs", "ordered_pairs", "pair_matrix", "symmetric_matrix"]
+
+#: ``np.triu_indices(n, k)``, computed once per (n, k); the arrays are shared, never written to.
+triu = cache(np.triu_indices)
 
 
 def det_pivoted(a: np.ndarray):
@@ -91,14 +95,12 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, k) for i in range(n) for k in range(n) if i != k]
 
 
-def pair_matrix(n: int, at: list[tuple[int, int]], values: list, diagonal: float) -> np.ndarray:
+def pair_matrix(n: int, rows, cols, values, diagonal: float) -> np.ndarray:
     """The read-only n x n matrix with ``diagonal`` on its diagonal and
-    ``values[m]`` at position ``at[m]``.  Values with one entry per point
-    give the (P, n, n) stack of each point's matrix."""
-    v = np.stack(values, axis=-1)
-    matrix = np.full(v.shape[:-1] + (n, n), diagonal)
-    rows, cols = zip(*at)
-    matrix[..., rows, cols] = v
+    ``values[m]`` at position (``rows[m]``, ``cols[m]``).  Values with one
+    entry per point give the (P, n, n) stack of each point's matrix."""
+    matrix = np.full(np.shape(values)[1:] + (n, n), diagonal)
+    matrix[..., rows, cols] = np.transpose(values)
     matrix.setflags(write=False)
     return matrix
 
@@ -106,5 +108,5 @@ def pair_matrix(n: int, at: list[tuple[int, int]], values: list, diagonal: float
 def symmetric_matrix(n: int, values) -> np.ndarray:
     """``pair_matrix`` of one value per pair i < k, mirrored, with NaN
     (undefined for a single input) on the diagonal."""
-    at = pairs(n)
-    return pair_matrix(n, at + [(k, i) for i, k in at], [*values, *values], math.nan)
+    at = np.hstack([triu(n, 1), triu(n, 1)[::-1]])  # (i, k), then (k, i)
+    return pair_matrix(n, *at, np.concatenate([values, values]), math.nan)

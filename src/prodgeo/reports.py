@@ -19,7 +19,7 @@ from .classifier import SampleGrid, grid_pass
 from .economics import substitution_fields
 from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
 from .jets import SecondOrderJet, jet
-from .linalg import ordered_pairs, pairs, symmetric_matrix
+from .linalg import ordered_pairs, pairs, symmetric_matrix, triu
 from .points import Point
 
 __all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_table", "report_record", "report_header"]
@@ -58,7 +58,7 @@ def _fields(j: SecondOrderJet, x) -> dict:
         slope=slope_w(j),
         gauss_kronecker=gauss_kronecker(j),
         mean_curvature=mean_curvature_of_jet(j),
-        sectional=symmetric_matrix(j.n, sectional_curvature(j, *np.triu_indices(j.n, 1))),
+        sectional=symmetric_matrix(j.n, sectional_curvature(j, *triu(j.n, 1))),
     )
 
 
@@ -80,7 +80,7 @@ def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
     """The reports of ``grid_reports`` as one (P, m) array, one row per
     point and one column per name of ``report_header``."""
     coords, f = grid_pass(spec, grid, _fields)
-    i, k = np.triu_indices(spec.n, 1)
+    i, k = triu(spec.n, 1)
     oi, ok = np.array(ordered_pairs(spec.n)).T
     return np.column_stack([
         coords.T, f["value"], f["slope"], f["gauss_kronecker"], f["mean_curvature"], f["sectional"][:, i, k],

@@ -305,7 +305,7 @@ def test_classify_checks_each_marginal_product_once(monkeypatch):
     # MRS of every ordered pair and Hicks of every pair divide by the
     # partials; each input's partial is checked once per jet, in input order.
     import prodgeo.economics
-    from prodgeo.economics import substitution_values
+    from prodgeo.economics import hicks_elasticity, mrs, output_elasticity
     from prodgeo.jets import SecondOrderJet
 
     checked = []
@@ -325,8 +325,10 @@ def test_classify_checks_each_marginal_product_once(monkeypatch):
     # one input: no ratio of partials, nothing to check
     checked.clear()
     one_input = SecondOrderJet(2.0, np.array([0.5]), np.array([[-0.25]]))
-    elasticities, mrs_values, hicks = substitution_values(one_input, (1.5,))
-    assert (len(elasticities), mrs_values, list(hicks), checked) == (1, [], [], [])
+    elasticities = output_elasticity(one_input, (1.5,), np.arange(1))
+    mrs_values = mrs(one_input, *np.nonzero(~np.eye(1, dtype=bool)))
+    hicks = hicks_elasticity(one_input, (1.5,), *np.triu_indices(1, 1))
+    assert (len(elasticities), len(mrs_values), len(hicks), checked) == (1, 0, 0, [])
 
 
 def test_classify_names_the_first_point_of_a_curvature_overflow():

@@ -394,3 +394,135 @@ def test_allen_determinant_overflow_is_infinite_without_warning():
 def test_allen_elasticity_of_an_infinite_bordered_determinant_is_a_domain_violation():
     with pytest.raises(DomainViolation, match=r"bordered determinant is not finite \(inf\)"):
         allen_elasticity(jet(HUGE_A, (1.0, 1.0)), (1.0, 1.0), 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# index arrays
+# ---------------------------------------------------------------------------
+
+ACMS_3IN = build_family("acms", {"A": 1.3, "k": (1.0, 0.6, 0.4), "rho": 0.5, "gamma": 0.7})
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _point_or_grid(spec, on_grid):
+    """A grid jet and its coordinates, or the jet and coordinates of one
+    point of the same grid."""
+    from prodgeo.classifier import default_grid
+    from prodgeo.jets import grid_jet
+
+    coords = default_grid(spec.n, seed=2).coords()
+    if on_grid:
+        return grid_jet(spec, coords), coords
+    p = tuple(coords[:, 5].tolist())
+    return jet(spec, p), p
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_index_arrays_give_the_scalar_calls_bitwise(on_grid):
+    j, x = _point_or_grid(ACMS_3IN, on_grid)
+    i, k = np.triu_indices(3, 1)
+    oi, ok = np.nonzero(~np.eye(3, dtype=bool))
+    mixed = np.array([2, 0, 1, 2]), np.array([0, 1, 0, 1])
+    cases = [
+        (output_elasticity(j, x, np.arange(3)), [output_elasticity(j, x, a) for a in range(3)]),
+        (mrs(j, oi, ok), [mrs(j, a, b) for a, b in zip(oi.tolist(), ok.tolist())]),
+        (hicks_elasticity(j, x, i, k), [hicks_elasticity(j, x, a, b) for a, b in zip(i.tolist(), k.tolist())]),
+        # reversed pairs, and pairs in no particular order
+        (hicks_elasticity(j, x, k, i), [hicks_elasticity(j, x, b, a) for a, b in zip(i.tolist(), k.tolist())]),
+        (hicks_elasticity(j, x, *mixed), [hicks_elasticity(j, x, a, b) for a, b in zip(*(m.tolist() for m in mixed))]),
+    ]
+    for values, singles in cases:
+        assert values.shape == (len(singles),) + np.shape(j.value)
+        if not on_grid:
+            assert all(type(v) is float for v in singles)
+        assert _bits(values) == _bits(singles)
+    assert _bits(hicks_elasticity(j, x, k, i)) == _bits(hicks_elasticity(j, x, i, k))
+
+
+def test_index_arrays_reject_equal_and_out_of_range_entries():
+    p = (1.0, 1.2, 0.8)
+    j = jet(ACMS_3IN, p)
+    with pytest.raises(IndexError, match="two distinct inputs"):
+        hicks_elasticity(j, p, np.array([0, 1]), np.array([1, 1]))
+    for call in (
+        lambda: output_elasticity(j, p, np.array([0, 3])),
+        lambda: mrs(j, np.array([0, 1]), np.array([1, -1])),
+        lambda: hicks_elasticity(j, p, np.array([0, 1]), np.array([1, 3])),
+    ):
+        with pytest.raises(IndexError, match="out of range"):
+            call()
+
+
+def test_marginals_are_checked_once_per_input_in_ascending_order(monkeypatch):
+    import prodgeo.economics
+
+    checked = []
+    real = prodgeo.economics.zero_marginal
+
+    def counting(gi, gradient_sq):
+        checked.append(gi)
+        return real(gi, gradient_sq)
+
+    monkeypatch.setattr(prodgeo.economics, "zero_marginal", counting)
+    p = (1.0, 1.2, 0.8)
+    j = jet(ACMS_3IN, p)
+    mrs(j, np.array([2, 0, 2]), np.array([1, 2, 0]))  # divides by the partials of x3 and x1
+    hicks_elasticity(j, p, np.array([1, 0]), np.array([0, 2]))
+    mrs(j, np.array([1]), np.array([0]))
+    assert [_bits(g) for g in checked] == [_bits(j.gradient[i]) for i in (0, 2, 1)]
+
+    # df/dx2 and df/dx3 are both numerically zero: the lower input is
+    # named, whatever the order of the entries
+    spec = FunctionSpec(3, Var(0) + Exp(Mul(Const(-40.0), Var(1))) + Exp(Mul(Const(-40.0), Var(2))))
+    p = (1.0, 2.0, 2.0)
+    with pytest.raises(ZeroMarginalProduct, match="x2"):
+        mrs(jet(spec, p), np.array([2, 1]), np.array([0, 0]))
+    with pytest.raises(ZeroMarginalProduct, match="x2"):
+        hicks_elasticity(jet(spec, p), p, np.array([2, 0]), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_degenerate_hicks_names_the_first_pair_given(on_grid):
+    # every Hicks denominator of a linear function is zero
+    j, x = _point_or_grid(FunctionSpec(3, Var(0) + Var(1) + Var(2)), on_grid)
+    with pytest.raises(DegenerateDenominator, match="for inputs 2, 3$"):
+        hicks_elasticity(j, x, np.array([2, 0]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_empty_index_arrays_give_no_values_and_check_nothing(on_grid, monkeypatch):
+    import prodgeo.economics
+
+    checked = []
+    monkeypatch.setattr(prodgeo.economics, "zero_marginal", lambda *args: checked.append(args))
+    j, x = _point_or_grid(ACMS_3IN, on_grid)
+    empty = np.array([], dtype=int)
+    for values in (output_elasticity(j, x, empty), mrs(j, empty, empty), hicks_elasticity(j, x, empty, empty)):
+        assert values.shape == (0,) + np.shape(j.value)
+    assert checked == []
+
+
+def test_one_point_underflow_gives_what_the_grid_gives():
+    # x1 * f_1 = x1 * x2 underflows to zero, so 1 / (x1 f_1) is infinite
+    # and the bordered determinant is numerically zero
+    from prodgeo.classifier import SampleGrid
+    from prodgeo.jets import grid_jet
+
+    spec = FunctionSpec(2, 1 + Var(0) * Var(1))
+    assert math.isnan(hicks_elasticity(jet(spec, (1e-200, 1e-200)), (1e-200, 1e-200), 0, 1))
+    grid = SampleGrid(((1e-200, 2e-200),) * 2, points_per_axis=2, jitter_points=0)
+    coords = grid.coords()
+    on_grid = hicks_elasticity(grid_jet(spec, coords), coords, 0, 1)
+    for m, p in enumerate(grid.points()):
+        assert _bits(hicks_elasticity(jet(spec, p), p, 0, 1)) == _bits(on_grid[m])
+    with pytest.raises(SingularAllenDeterminant) as exc:
+        grid_reports(spec, grid)
+    p = exc.value.point
+    message = str(exc.value).removesuffix(f" at point {p.coords}")
+    for call in (lambda: geometry_report(spec, p), lambda: substitution_sample(jet(spec, p), p)):
+        with pytest.raises(SingularAllenDeterminant) as at_point:
+            call()
+        assert str(at_point.value) == message

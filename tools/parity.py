@@ -17,12 +17,14 @@ Every case runs in one interpreter, in process:
 ``--against DIR`` runs the battery in a fresh interpreter on each tree's
 ``src/``, prints the id of every case whose line differs, and exits 1 if
 any does.  The cases come from this file and ``bench/specgen.py`` of this
-tree in both runs.
+tree in both runs.  A case id given twice stops the battery before its
+first case runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -74,6 +76,9 @@ DOCUMENTS = [
     ("late_failure_6in", _document(6, *(["pow", ["var", i], 0.5] for i in range(6)), _sqrt_of_shift(1.69, 0))),
     # an integer literal beyond the float range
     ("huge_integer_literal", '{"n": 2, "family": "custom", "body": ["const", 1' + "0" * 400 + "]}"),
+    # x1^0.5 + x2 + x3 + 1: Hicks(2, 3) and the bordered determinant fail everywhere; analyze reports the
+    # determinant, checked after Hicks(1, 2), and classify, which has no Allen elasticities, Hicks(2, 3)
+    ("hicks_then_bordered_3in", _document(3, ["pow", ["var", 0], 0.5], ["var", 1], ["var", 2], ["const", 1])),
 ]
 
 
@@ -128,10 +133,18 @@ def library_cases():
     from prodgeo.catalog import FunctionSpec
     from prodgeo.classifier import SampleGrid, TolerancePolicy
     from prodgeo.cli import _FAMILY_ALIASES, _parse_params
-    from prodgeo.economics import allen_determinant, allen_elasticity
+    from prodgeo.economics import (
+        allen_determinant,
+        allen_elasticity,
+        hicks_elasticity,
+        mrs,
+        output_elasticity,
+        substitution_sample,
+    )
     from prodgeo.expr import Const, Div, Ln, Mul, Neg, Pow, Var, sum_chain
     from prodgeo.geometry import hessian_determinant
     from prodgeo.jets import grid_jet, univariate_jet
+    from prodgeo.reports import grid_reports
 
     cases = [
         ("verify_catalog/default", verify_catalog),
@@ -142,6 +155,8 @@ def library_cases():
         cases.append((f"classify/{name}", lambda s=spec: classify(s, default_grid(s.n))))
         cases.append((f"estimate_sigma/{name}", lambda s=spec: estimate_sigma(s, default_grid(s.n))))
     for a in range(-12, 13, 2):
+        if a == -6:
+            continue  # FAMILIES has this spec, as cobb_douglas_k0.7_0.7_A1e-6
         spec = build_family("cobb_douglas", {"A": 10.0**a, "k": (0.7, 0.7)})
         cases.append((f"classify/cobb_douglas_k0.7_0.7_A1e{a}", lambda s=spec: classify(s, default_grid(2))))
     for index in range(30):
@@ -164,6 +179,9 @@ def library_cases():
     # x1^0.5 + ... + x6^0.5 + (1.6 - x1)^0.5 fails first at point 3,072 of the
     # 4,128-point grid, in the third block of grid_jet's propagation.
     third_block = FunctionSpec(6, sum_chain([Pow(Var(i), 0.5) for i in range(6)] + [Pow(Const(1.6) - Var(0), 0.5)]))
+    # x1 * f_1 = x1 * x2 underflows to zero at one point as on a grid
+    underflow = FunctionSpec(2, 1 + Var(0) * Var(1))
+    tiny, tiny_grid = (1e-200, 1e-200), SampleGrid(((1e-200, 2e-200),) * 2, points_per_axis=2, jitter_points=0)
     acms_8in = build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25, 0.8, 0.6, 0.4, 0.9, 0.3), "rho": 2.0, "gamma": 1.0})
     cases += [
         ("repro/evaluate_nonpositive", lambda: evaluate(FunctionSpec(2, Var(0) - Var(1)), (1.0, 2.0))),
@@ -208,6 +226,11 @@ def library_cases():
         ),
         ("repro/validate_acms_8in", lambda: validate(acms_8in, [(0.5, 2.0)] * 8)),
         ("repro/grid_subnormal", lambda: SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1).points()),
+        ("repro/hicks_underflow_point", lambda: hicks_elasticity(jet(underflow, tiny), tiny, 0, 1)),
+        ("repro/substitution_sample_underflow_point", lambda: substitution_sample(jet(underflow, tiny), tiny)),
+        ("repro/geometry_report_underflow_point", lambda: geometry_report(underflow, tiny)),
+        ("repro/grid_reports_underflow_grid", lambda: grid_reports(underflow, tiny_grid)),
+        ("repro/estimate_sigma_underflow_grid", lambda: estimate_sigma(underflow, tiny_grid)),
         # Support-aware jets: the partial of an unused input is +0.0, and a
         # structural zero is embedded as +0.0 where a dense jet held -0.0.
         ("support/jet_3_minus_x1", lambda: jet(FunctionSpec(2, 3 - Var(0)), (1.0, 2.0))),
@@ -228,12 +251,25 @@ def library_cases():
         cases.append((f"det_pivoted/{name}/first", lambda a=stack: det_pivoted(a[0])))
     acms_6in = build_family("acms", _parse_params(dict((f[0], f[2]) for f in FAMILIES)["acms_6in"]))
     i, k = np.triu_indices(6, 1)
-    acms_6in_jet = grid_jet(acms_6in, default_grid(6).coords())
+    oi, ok = np.nonzero(~np.eye(6, dtype=bool))
+    coords_6in = default_grid(6).coords()
+    acms_6in_jet = grid_jet(acms_6in, coords_6in)
+
+    def elasticity_6in(j, *index):
+        return output_elasticity(j, coords_6in, *index)
+
+    def hicks_6in(j, *index):
+        return hicks_elasticity(j, coords_6in, *index)
+
     cases += [
         ("pairwise/sectional_acms_6in", lambda: _pairwise(sectional_curvature, acms_6in_jet, i, k)),
         ("pairwise/sectional_acms_6in_reversed", lambda: _pairwise(sectional_curvature, acms_6in_jet, k, i)),
         ("pairwise/riemann_acms_6in", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, k, i)),
         ("pairwise/riemann_acms_6in_ikik", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, i, k)),
+        ("pairwise/output_elasticity_acms_6in", lambda: _pairwise(elasticity_6in, acms_6in_jet, np.arange(6))),
+        ("pairwise/mrs_acms_6in", lambda: _pairwise(mrs, acms_6in_jet, oi, ok)),
+        ("pairwise/hicks_acms_6in", lambda: _pairwise(hicks_6in, acms_6in_jet, i, k)),
+        ("pairwise/hicks_acms_6in_reversed", lambda: _pairwise(hicks_6in, acms_6in_jet, k, i)),
     ]
     return cases
 
@@ -265,12 +301,12 @@ def _det_stacks():
 
 def _pairwise(indicator, j, *index):
     """``indicator`` of the index arrays ``index``; on a tree whose
-    indicators take one index each (and fail on an array's truth value),
-    the stack of its values pair by pair, so that ``--against`` compares
-    the two forms."""
+    indicators take one index each (and fail on an array's truth value or
+    hash), the stack of its values pair by pair, so that ``--against``
+    compares the two forms."""
     try:
         return indicator(j, *index)
-    except ValueError:
+    except (ValueError, TypeError):
         return np.stack([indicator(j, *q) for q in zip(*(a.tolist() for a in index))])
 
 
@@ -334,10 +370,14 @@ def battery(src: str):
 
     if not os.path.abspath(prodgeo.__file__).startswith(os.path.abspath(src) + os.sep):
         sys.exit(f"error: prodgeo was imported from {prodgeo.__file__}, not {src}")
-    for case_id, argv, stdin in cli_cases():
+    cli, library = cli_cases(), [(f"lib/{case_id}", thunk) for case_id, thunk in library_cases()]
+    counts = collections.Counter(case[0] for case in cli + library)
+    if duplicates := [case_id for case_id, count in counts.items() if count > 1]:
+        sys.exit(f"error: duplicate case ids: {', '.join(duplicates)}")
+    for case_id, argv, stdin in cli:
         print(case_id, run_cli(argv, stdin))
-    for case_id, thunk in library_cases():
-        print(f"lib/{case_id}", run_library(thunk))
+    for case_id, thunk in library:
+        print(case_id, run_library(thunk))
 
 
 def _lines(src: str) -> dict[str, str]:
