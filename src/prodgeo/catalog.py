@@ -42,15 +42,15 @@ from .expr import (
     Exp,
     Mul,
     Pow,
+    Program,
     Var,
-    check_depth,
+    compiled,
     eval_value,
     expr_from_obj,
     expr_to_obj,
     product_chain,
     substitute,
     sum_chain,
-    variables,
 )
 from .jets import gradient_norm_sq, propagate, univariate_jet
 from .points import Point, as_point
@@ -113,12 +113,15 @@ class FunctionSpec:
             raise ParameterViolation(f"a production function needs n >= 2 inputs, got {self.n!r}")
         if self.family not in FAMILIES:
             raise ParameterViolation(f"unknown family {self.family!r}")
-        for e in (self.body, self.outer, *(self.inners or ())):
-            check_depth(e)
-        used = variables(self.body)
-        if used and max(used) >= self.n:
+        # Compiling rejects a tree deeper than MAX_DEPTH.  Outer and inners
+        # are compiled here only for their support: their programs are
+        # built where they are first evaluated.
+        body = compiled(self.body)
+        parts = [Program(e) for e in (self.outer, *(self.inners or ())) if e is not None]
+        used = body.support
+        if used and used[-1] >= self.n:
             raise ExpressionError(
-                f"body references x{max(used) + 1} but the function has {self.n} inputs"
+                f"body references x{used[-1] + 1} but the function has {self.n} inputs"
             )
         if (self.outer is None) != (self.inners is None):
             raise ExpressionError("outer and inners must be given together")
@@ -127,10 +130,10 @@ class FunctionSpec:
             object.__setattr__(self, "inners", inners)
             if len(inners) != self.n:
                 raise ArityMismatch(f"{len(inners)} inner factors for {self.n} inputs")
-            for i, g in enumerate(inners):
-                if variables(g) != frozenset({i}):
+            for i, g in enumerate(parts[1:]):
+                if g.support != (i,):
                     raise ExpressionError(f"inner factor {i} must depend on x{i + 1} only")
-            if variables(self.outer) != frozenset({0}):
+            if parts[0].support != (0,):
                 raise ExpressionError("outer expression must depend on exactly one variable")
             if self.body != substitute(self.outer, {0: product_chain(inners)}):
                 raise ExpressionError("body is not the composition of outer and inners")
@@ -282,20 +285,19 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
         raise ArityMismatch("a production function needs at least 2 inputs")
     if not isinstance(outer, Expr):
         raise ExpressionError(f"outer must be an expression, got {outer!r}")
-    check_depth(outer)
-    outer_vars = variables(outer)
+    outer_vars = Program(outer).support
     if len(outer_vars) != 1:
         raise ArityMismatch("outer expression must use exactly one variable")
-    outer = substitute(outer, {next(iter(outer_vars)): Var(0)})
+    if outer_vars != (0,):
+        outer = substitute(outer, {outer_vars[0]: Var(0)})
     slotted = []
     for i, g in enumerate(inners):
         if not isinstance(g, Expr):
             raise ExpressionError(f"inner factor {i} must be an expression, got {g!r}")
-        check_depth(g)
-        g_vars = variables(g)
+        g_vars = Program(g).support
         if len(g_vars) != 1:
             raise ArityMismatch(f"inner factor {i} must use exactly one variable")
-        slotted.append(substitute(g, {next(iter(g_vars)): Var(i)}))
+        slotted.append(g if g_vars == (i,) else substitute(g, {g_vars[0]: Var(i)}))
     return _compose(outer, tuple(slotted), family, {})
 
 

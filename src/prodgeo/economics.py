@@ -26,8 +26,9 @@ multiplied by a constant.
 Every indicator also takes a grid jet (see :mod:`prodgeo.jets`) with the
 (n, P) array of its points' coordinates, giving one value per point --
 each the value the point's own jet gives, bit for bit; a check that
-fails at any point raises.  A point is computed in numpy too, so an
-underflow gives what the grid gives there, never a ZeroDivisionError.
+fails at any point raises.  A point is computed in numpy too, with its
+warnings off as on a grid, so an underflow or overflow gives what the
+grid gives there, never a ZeroDivisionError or a RuntimeWarning.
 
 ``output_elasticity``, ``mrs`` and ``hicks_elasticity`` also take index
 arrays (``np.arange(n)``, the ordered pairs, ``np.triu_indices(n, 1)``),
@@ -87,14 +88,16 @@ def _check_marginals(j: SecondOrderJet, *idx) -> None:
 def output_elasticity(j: SecondOrderJet, p, i) -> PointValues:
     """Percentage output response to a percentage change of input i."""
     j.check_index(i)
-    return j.unbox(_coords(p, i) * j.gradient[i] / j.value)
+    with np.errstate(all="ignore"):
+        return j.unbox(_coords(p, i) * j.gradient[i] / j.value)
 
 
 def mrs(j: SecondOrderJet, i, k) -> PointValues:
     """Marginal rate of technical substitution of input k for input i."""
     j.check_index(i, k)
     _check_marginals(j, i)
-    return j.unbox(j.gradient[k] / j.gradient[i])
+    with np.errstate(all="ignore"):
+        return j.unbox(j.gradient[k] / j.gradient[i])
 
 
 def hicks_elasticity(j: SecondOrderJet, p, i, k) -> PointValues:

@@ -6,11 +6,22 @@ quotients, powers with a real exponent, exp and ln.  Trees are immutable
 and evaluation is pure, so expressions can be shared freely across
 threads.
 
+A tree is evaluated through its program (see :class:`Program`): a flat
+post-order list of instructions, compiled on the tree's first use and
+kept with its root node (see :func:`compiled`).  Compilation is hash-consed: structurally
+equal subtrees, whether one shared object or equal copies, become one
+register, computed once per run where the tree walk first completes it.
+Constants are keyed with their sign, so ``Const(0.0)`` and
+``Const(-0.0)`` stay apart.  Nothing is folded, re-associated or
+simplified: a run performs the walk's IEEE operations in the walk's
+order, only skipping repeats of an identical subtree, so results are
+reproducible bit for bit and the first failing node of the walk fails
+first.
+
 Evaluation is generic over the scalar type: plain floats give function
 values, while jet scalars (see :mod:`prodgeo.jets`) propagate first and
-second derivatives through the *identical* arithmetic path.  No
-re-association or simplification ever happens, which keeps results
-reproducible bit for bit.
+second derivatives through the *identical* arithmetic path.  Jets are
+never mutated, so one register may feed many operations.
 
 Powers follow one domain rule: a real (non-integer) exponent requires a
 strictly positive base, checked at evaluation time; integer exponents
@@ -21,6 +32,7 @@ whole real line.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -42,6 +54,8 @@ __all__ = [
     "variables",
     "check_depth",
     "substitute",
+    "Program",
+    "compiled",
     "eval_expr",
     "eval_value",
     "expr_to_obj",
@@ -55,13 +69,15 @@ _MAX_REPEATED_POW = 512
 #: The deepest tree accepted, in nodes on a path from the root.  Walks over
 #: a tree recurse once per level, and comparing trees about three times,
 #: so this keeps every walk far below Python's recursion limit of 1,000.
+#: Compiling a deeper tree raises ExpressionError.
 MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
 class Expr:
     """Base node.  Subclasses are frozen dataclasses, so structural
-    equality (``==``) compares whole trees."""
+    equality (``==``) compares whole trees.  A root node keeps its
+    compiled program (see :func:`compiled`) beside its fields."""
 
     def __add__(self, other) -> "Expr":
         return Add(self, _coerce(other))
@@ -222,18 +238,16 @@ def check_depth(tree) -> None:
 def _split(e: Expr) -> tuple[str, tuple, tuple]:
     """The tag of node ``e``, its children and its payloads."""
     try:
-        tag, _, count = _KINDS[type(e)]
+        tag, arity, count = _KINDS[type(e)]
     except KeyError:
         raise ExpressionError(f"unknown node {e!r}") from None
     parts = tuple(vars(e).values())
-    return tag, parts[:count], parts[count:]
+    return tag, parts[:count], parts[count:arity]
 
 
 def variables(e: Expr) -> frozenset[int]:
     """Set of variable indices appearing in the tree."""
-    if isinstance(e, Var):
-        return frozenset({e.index})
-    return frozenset().union(*map(variables, _split(e)[1]))
+    return frozenset(compiled(e).support)
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
@@ -292,6 +306,143 @@ def _div_scalar(num, den):
     return num / den
 
 
+def _load(xs, i: int):
+    if i >= len(xs):
+        raise ExpressionError(f"variable x{i + 1} out of range for {len(xs)} inputs")
+    return xs[i]
+
+
+#: The operation of each node kind but Const, on its children's values and
+#: then its payload: Var reads the inputs at its index.
+_OPS = {
+    Var: _load,
+    Neg: operator.neg,
+    Add: operator.add,
+    Mul: operator.mul,
+    Div: _div_scalar,
+    Pow: _pow_scalar,
+    Exp: _exp_scalar,
+    Ln: _ln_scalar,
+}
+
+
+class Program:
+    """A tree compiled to a flat post-order list of instructions.
+
+    Compiling walks the tree once, depth first and left to right, and
+    gives each structurally distinct subtree one register, in the order
+    in which the walk completes its first occurrence; an operation's
+    register gets its instruction there.  Constants are keyed by value and
+    sign.  ``support`` is the sorted tuple of variable indices the tree
+    uses and ``depth`` its nodes on the longest path from the root; a tree
+    deeper than MAX_DEPTH raises ExpressionError.
+
+    A run fills a register file: the inputs, then each register's slot,
+    where a constant is stored beforehand, and payload slots for variable
+    indices and exponents.  An instruction ``fn, k, a, b, dead`` sets
+    slot k to fn(slot a, slot b), or to fn(slot a) when b is 0, the slot
+    of the inputs, and then clears the operands it reads last (``dead & 1``
+    for a, ``dead & 2`` for b).  So a run holds the values the walk held,
+    and a repeated subtree's value from its first use to its last.  The
+    instructions are kept in one flat list, which the garbage collector
+    sees as one object.
+    """
+
+    __slots__ = ("support", "depth", "_slots", "_code", "_out")
+
+    def __init__(self, e: Expr):
+        ids: dict[int, int] = {}  # id(node) -> register, for shared objects
+        registers: dict[tuple, int] = {}  # kind, child registers and payloads -> register
+        heights: dict[int, int] = {}  # register -> nodes on the longest path down from it
+        last: dict[int, int] = {}  # register -> the instruction that reads it last
+        slots: list = [None]
+        code: list = []
+        support = []
+
+        def visit(node, depth: int) -> int:
+            reg = ids.get(at := id(node))
+            if reg is not None:
+                if depth + heights[reg] - 1 > MAX_DEPTH:
+                    raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
+                return reg
+            if depth > MAX_DEPTH:
+                raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
+            kind = type(node)
+            try:
+                _, arity, count = _KINDS[kind]
+            except KeyError:
+                raise ExpressionError(f"unknown node {node!r}") from None
+            parts = [*vars(node).values()]
+            height = 0
+            if count:
+                for c in range(count):
+                    r = parts[c] = visit(parts[c], depth + 1)
+                    if heights[r] > height:
+                        height = heights[r]
+                key = (kind, *parts[:arity])
+            else:
+                key = (kind, parts[0], math.copysign(1.0, parts[0]))
+            reg = registers.get(key)
+            if reg is None:
+                reg = registers[key] = len(slots)
+                heights[reg] = height + 1
+                if kind is Const:
+                    slots.append(parts[0])
+                else:
+                    # The instruction of an operation; a payload goes in the next slot.
+                    slots.append(None)
+                    j = len(code)
+                    if count == 2:
+                        last[parts[0]] = last[parts[1]] = j
+                        code.extend((_OPS[kind], reg, parts[0], parts[1], 0))
+                    elif count:
+                        last[parts[0]] = j
+                        if arity > 1:
+                            slots.append(parts[1])
+                        code.extend((_OPS[kind], reg, parts[0], reg + 1 if arity > 1 else 0, 0))
+                    else:  # a variable: the inputs and its index
+                        support.append(parts[0])
+                        slots.append(parts[0])
+                        code.extend((_OPS[kind], reg, 0, reg + 1, 0))
+            ids[at] = reg
+            return reg
+
+        try:
+            self._out = visit(e, 1)
+        finally:
+            visit = None  # the closure refers to itself: break the cycle, so the tables go at once
+        for reg, j in last.items():
+            code[j + 4] |= (code[j + 2] == reg) | (code[j + 3] == reg) << 1
+        self.support = tuple(sorted(support))
+        self.depth = heights[self._out]
+        self._slots, self._code = slots, code
+
+    def run(self, xs):
+        """The tree's value for the per-variable scalars ``xs``."""
+        r = self._slots.copy()
+        r[0] = xs
+        step = iter(self._code)
+        for fn, k, a, b, dead in zip(step, step, step, step, step):
+            r[k] = fn(r[a], r[b]) if b else fn(r[a])
+            if dead:
+                if dead & 1:
+                    r[a] = None
+                if dead & 2:
+                    r[b] = None
+        return r[self._out]
+
+
+def compiled(e: Expr) -> Program:
+    """The program of tree ``e``.  It is compiled on first use and kept on
+    the root node, so each tree object is compiled once and its program
+    lives exactly as long as the tree."""
+    program = getattr(e, "_program", None)
+    if program is None:
+        program = Program(e)
+        object.__setattr__(e, "_program", program)
+    return program
+
+
 def eval_expr(e: Expr, xs):
     """Evaluate the tree with the given per-variable scalars.
 
@@ -299,28 +450,7 @@ def eval_expr(e: Expr, xs):
     identical either way.  A tree with no variables yields a float even
     when jets are supplied.
     """
-    match e:
-        case Const(value=c):
-            return c
-        case Var(index=i):
-            if i >= len(xs):
-                raise ExpressionError(f"variable x{i + 1} out of range for {len(xs)} inputs")
-            return xs[i]
-        case Neg(child=a):
-            return -eval_expr(a, xs)
-        case Add(left=a, right=b):
-            return eval_expr(a, xs) + eval_expr(b, xs)
-        case Mul(left=a, right=b):
-            return eval_expr(a, xs) * eval_expr(b, xs)
-        case Div(left=a, right=b):
-            return _div_scalar(eval_expr(a, xs), eval_expr(b, xs))
-        case Pow(base=a, exponent=c):
-            return _pow_scalar(eval_expr(a, xs), c)
-        case Exp(child=a):
-            return _exp_scalar(eval_expr(a, xs))
-        case Ln(child=a):
-            return _ln_scalar(eval_expr(a, xs))
-    raise ExpressionError(f"unknown node {e!r}")
+    return compiled(e).run(xs)
 
 
 def eval_value(e: Expr, xs) -> float:

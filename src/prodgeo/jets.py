@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
-from .expr import Expr, _exp_scalar, eval_expr, eval_value, variables
+from .expr import Expr, _exp_scalar, compiled, eval_expr, eval_value
 from .linalg import quadratic_form, triu
 from .points import as_point
 
@@ -382,7 +382,7 @@ def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, P
     The expression may use any single variable index; that slot is
     seeded with ``x``.
     """
-    used = variables(e)
+    used = compiled(e).support
     if len(used) > 1:
         raise ArityMismatch(f"expression uses {len(used)} variables, expected one")
     xs: list = [None] * (max(used, default=0) + 1)

@@ -526,3 +526,22 @@ def test_one_point_underflow_gives_what_the_grid_gives():
         with pytest.raises(SingularAllenDeterminant) as at_point:
             call()
         assert str(at_point.value) == message
+
+
+def test_one_point_overflow_raises_what_the_grid_raises():
+    # exp(x1) + x2: x1 * f_1 overflows in the output elasticity, before
+    # |grad f|^2 overflows in the marginal product check
+    from prodgeo.classifier import SampleGrid
+    from prodgeo.expr import Add
+
+    spec = FunctionSpec(2, Add(Exp(Var(0)), Var(1)))
+    with pytest.raises(DomainViolation, match=r"^\|grad f\|\^2 overflows"):
+        geometry_report(spec, (708.92, 1.19))
+    grid = SampleGrid(((708.92, 709.0), (1.19, 1.2)), points_per_axis=2, jitter_points=0)
+    with pytest.raises(DomainViolation) as exc:
+        grid_reports(spec, grid)
+    p = exc.value.point
+    message = str(exc.value).removesuffix(f" at point {p.coords}")
+    with pytest.raises(DomainViolation) as at_point:
+        geometry_report(spec, p)
+    assert type(at_point.value) is type(exc.value) and str(at_point.value) == message

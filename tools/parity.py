@@ -68,6 +68,26 @@ def _sqrt_of_shift(c: float, i: int) -> list:
     return ["pow", ["add", ["const", c], ["neg", ["var", i]]], 0.5]
 
 
+def _saturating_document() -> str:
+    """F(g1(x1) g2(x2)) with F(u) = u^0.7 / (1.5 + u^0.7) and g_i(x) =
+    exp(0.3 x) x^1.5 / (2 + x^1.5): every power occurs twice, as two
+    equal copies in the document."""
+
+    def saturate(e, c):
+        return ["div", e, ["add", ["const", c], e]]
+
+    def inner(i):
+        return ["mul", ["exp", ["mul", ["const", 0.3], ["var", i]]], saturate(["pow", ["var", i], 1.5], 2.0)]
+
+    return json.dumps({
+        "n": 2,
+        "family": "quasi_product",
+        "body": saturate(["pow", ["mul", inner(0), inner(1)], 0.7], 1.5),
+        "outer": saturate(["pow", ["var", 0], 0.7], 1.5),
+        "inners": [inner(0), inner(1)],
+    })
+
+
 #: (id, spec document) of the custom functions given on stdin.
 DOCUMENTS = [
     # (1.5 - x1)^0.5 + exp(-40 x2): classify and analyze name the same first failing point
@@ -79,6 +99,8 @@ DOCUMENTS = [
     # x1^0.5 + x2 + x3 + 1: Hicks(2, 3) and the bordered determinant fail everywhere; analyze reports the
     # determinant, checked after Hicks(1, 2), and classify, which has no Allen elasticities, Hicks(2, 3)
     ("hicks_then_bordered_3in", _document(3, ["pow", ["var", 0], 0.5], ["var", 1], ["var", 2], ["const", 1])),
+    # repeated subtrees, evaluated once per run by the compiled program
+    ("repeated_subtrees", _saturating_document()),
 ]
 
 
@@ -127,6 +149,7 @@ def library_cases():
         jet,
         quasi_product_hessian_det,
         spec_from_json,
+        spec_to_json,
         validate,
         verify_catalog,
     )
@@ -141,7 +164,7 @@ def library_cases():
         output_elasticity,
         substitution_sample,
     )
-    from prodgeo.expr import Const, Div, Ln, Mul, Neg, Pow, Var, sum_chain
+    from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, eval_expr, sum_chain
     from prodgeo.geometry import hessian_determinant
     from prodgeo.jets import grid_jet, univariate_jet
     from prodgeo.reports import grid_reports
@@ -242,6 +265,37 @@ def library_cases():
             "support/jet_zero_times_x2_times_minus_x1",
             lambda: jet(FunctionSpec(2, 1 + Mul(Mul(Var(1), Const(0.0)), Neg(Var(0)))), (1.0, 2.0)),
         ),
+    ]
+    # Repeated subtrees: equal copies from a document, one shared object,
+    # signed zero constants side by side, and errors inside a repeated subtree.
+    saturating = spec_from_json(_saturating_document())
+    cases.append(("shared/saturating/validate", lambda: validate(saturating, [(0.5, 2.0)] * 2)))
+    for k, p in enumerate(((0.7, 1.3), (1.9, 0.6), (1e-3, 40.0))):
+        cases += [
+            (f"shared/saturating/jet/{k}", lambda p=p: jet(saturating, p)),
+            (f"shared/saturating/evaluate/{k}", lambda p=p: evaluate(saturating, p)),
+            (f"shared/saturating/qp_det/{k}", lambda p=p: quasi_product_hessian_det(saturating, p)),
+        ]
+    log_shift = Ln(Const(2.0) - Var(0))
+    one_object = FunctionSpec(2, Div(log_shift, Add(Const(1.5), log_shift)) + Var(1))
+    copies = spec_from_json(spec_to_json(one_object))
+    for name, spec in (("one_object", one_object), ("copies", copies)):
+        cases += [
+            (f"shared/{name}/jet_fails", lambda s=spec: jet(s, (2.5, 1.0))),
+            (f"shared/{name}/jet", lambda s=spec: jet(s, (0.5, 1.0))),
+            (f"shared/{name}/validate", lambda s=spec: validate(s, [(0.5, 3.0)] * 2)),
+            (f"shared/{name}/grid_jet_fails", lambda s=spec: grid_jet(s, default_grid(2, box=((0.5, 3.0),) * 2).coords())),
+        ]
+    for a, b in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+        zeros = FunctionSpec(2, 1 + Add(Mul(Var(0), Const(a)), Mul(Var(0), Const(b))) * Var(1))
+        cases += [
+            (f"shared/zero_siblings_{a}_{b}/sum", lambda a=a, b=b: eval_expr(Add(Const(a), Const(b)), [])),
+            (f"shared/zero_siblings_{a}_{b}/jet", lambda s=zeros: jet(s, (1.0, 2.0))),
+        ]
+    cases += [
+        ("shared/order/ln_before_var", lambda: eval_expr(Add(Ln(Const(-1.0)), Var(5)), [1.0])),
+        ("shared/order/var_before_ln", lambda: eval_expr(Add(Var(5), Ln(Const(-1.0))), [1.0])),
+        ("repro/geometry_report_exp_overflow_point", lambda: geometry_report(FunctionSpec(2, Exp(Var(0)) + Var(1)), (708.92, 1.19))),
     ]
     from prodgeo.geometry import riemann_component, sectional_curvature
     from prodgeo.linalg import det_pivoted
