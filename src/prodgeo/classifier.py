@@ -45,7 +45,7 @@ from .geometry import (
     slope_power,
     slope_w,
 )
-from .jets import SecondOrderJet, grid_jet
+from .jets import _POINT_BLOCK, SecondOrderJet, grid_jet
 from .linalg import quadratic_form, triu
 from .points import Point
 
@@ -240,10 +240,13 @@ def _verdict(
 # ---------------------------------------------------------------------------
 #
 # Each pass evaluates its indicators for all points at once and reduces
-# them over the point axis.  Witnesses are first occurrences in point
-# order, NaN is skipped, and a value that is nowhere defined has no
-# witness (None), as a scan over the points with strict comparisons
-# would give.
+# them over the point axis.  A pass may join the grids of several
+# functions of the same n, one segment of points each; a reduction then
+# gives one result per segment, and each equals the reduction of that
+# grid alone, bit for bit, as every indicator is pointwise.  Witnesses are
+# first occurrences in point order within their segment, NaN is skipped,
+# and a value that is nowhere defined has no witness (None), as a scan
+# over the points with strict comparisons would give.
 
 def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
     """The grid's (n, P) coordinates and ``indicators(jets, coords)`` of
@@ -253,46 +256,61 @@ def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     coords = grid.coords()
-    with np.errstate(all="ignore"):
-        return coords, _pass(spec, coords, indicators)
+    return coords, _pass([(spec, coords)], lambda j, x, _: indicators(j, x))
 
 
-def _pass(spec: FunctionSpec, coords: np.ndarray, indicators):
-    """``indicators`` of the jets at ``coords``.  If that raises a
-    ProdGeoError, the same pass runs on each half of the points in grid
-    order, down to the first failing point, whichever of the jets and the
-    indicators fails there, and its error names that point: each check
-    fails on a set of points exactly when it fails at one of them."""
+def _pass(parts: list[tuple[FunctionSpec, np.ndarray]], indicators):
+    """``indicators(jets, coords, starts)`` of the jets of the (spec, (n,
+    P)-coords) ``parts``, joined along the point axis into one segment
+    each: ``coords`` are theirs, joined likewise, and ``starts`` the index
+    of each segment's first point.  If that raises a ProdGeoError, the
+    same pass runs on each part alone, in order, and on one part, on each
+    half of its points in grid order, down to the first failing point of
+    the first failing part, whichever of the jets and the indicators fails
+    there; its error names that point: each check fails on a set of points
+    exactly when it fails at one of them."""
+    coords = np.concatenate([x for _, x in parts], axis=1) if len(parts) > 1 else parts[0][1]
+    starts = np.cumsum([0] + [x.shape[1] for _, x in parts[:-1]])
     try:
-        return indicators(grid_jet(spec, coords), coords)
+        with np.errstate(all="ignore"):
+            return indicators(grid_jet(*parts[0], *parts[1:]), coords, starts)
     except ProdGeoError as e:
-        if coords.shape[1] > 1:
+        if len(parts) > 1:
+            for part in parts:
+                _pass([part], indicators)
+        elif coords.shape[1] > 1:
             for half in np.array_split(coords, 2, axis=1):
-                _pass(spec, half, indicators)
+                _pass([(parts[0][0], half)], indicators)
         else:
             e.point = Point(tuple(coords[:, 0].tolist()))
             e.args = (f"{e.args[0]} at point {e.point.coords}",) + e.args[1:]
         raise
 
 
-def _largest(a: np.ndarray) -> tuple[float, Optional[int]]:
-    """The largest entry of the (P, m) array ``a`` and its first point's index."""
+def _largest(a: np.ndarray, starts) -> list[tuple[float, Optional[int]]]:
+    """The largest entry of each segment of the (P, m) array ``a`` and the
+    index of its first point within the segment.  Segment s holds the
+    points from ``starts[s]`` to the next start; none is empty."""
     per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
-    k = int(np.argmax(per_point))
-    return (float(per_point[k]), k) if per_point[k] > -np.inf else (-math.inf, None)
+    found = []
+    for segment in np.split(per_point, starts[1:]):
+        k = int(np.argmax(segment))
+        found.append((float(segment[k]), k) if segment[k] > -np.inf else (-math.inf, None))
+    return found
 
 
-def _smallest(a: np.ndarray) -> tuple[float, Optional[int]]:
-    """The smallest entry of the (P, m) array ``a`` and its first point's index."""
-    value, k = _largest(-a)
-    return -value, k
+def _smallest(a: np.ndarray, starts) -> list[tuple[float, Optional[int]]]:
+    """The smallest entry of each segment of the (P, m) array ``a`` and the
+    index of its first point within the segment, as ``_largest``."""
+    return [(-value, k) for value, k in _largest(-a, starts)]
 
 
-def _bound(tol: TolerancePolicy, noise: np.ndarray) -> float:
-    """The zero threshold of a quantity with noise scale ``noise`` over
-    the grid: the absolute floor plus the relative part times the
-    largest noise, NaN skipped."""
-    return tol.zero_abs + tol.zero_rel * float(np.where(np.isnan(noise), 0.0, noise).max(initial=0.0))
+def _bound(tol: TolerancePolicy, noise: np.ndarray, starts) -> np.ndarray:
+    """The zero threshold of each segment of a quantity with noise scale
+    ``noise`` (P, m): the absolute floor plus the relative part times the
+    segment's largest noise, NaN skipped."""
+    per_point = np.where(np.isnan(noise), 0.0, noise).max(axis=1, initial=0.0)
+    return tol.zero_abs + tol.zero_rel * np.maximum.reduceat(per_point, starts)
 
 
 def _mean_spread(values: np.ndarray) -> tuple[float, float]:
@@ -309,15 +327,15 @@ def _mean_spread(values: np.ndarray) -> tuple[float, float]:
 
 
 def _curvature_stats(
-    jets: SecondOrderJet, tol: TolerancePolicy
-) -> dict[str, tuple[float, Optional[int], float]]:
-    """Every curvature check over the grid, in one pass.
+    jets: SecondOrderJet, tol: TolerancePolicy, starts
+) -> list[dict[str, tuple[float, Optional[int], float]]]:
+    """Every curvature check over each segment of the grid, in one pass.
 
     Maps each curvature verdict name to its observed value, witness index
-    and bound: the maximum of |quantity| against its noise-scaled zero
-    threshold for the vanishing checks, and for the two negative
-    controls the minimum of |K| and of each point's largest |Riemann
-    component| against ten times the threshold.
+    and bound, one map per segment: the maximum of |quantity| against its
+    noise-scaled zero threshold for the vanishing checks, and for the two
+    negative controls the minimum of |K| and of each point's largest
+    |Riemann component| against ten times the threshold.
     """
     n = jets.n
     g, h = jets.stacked
@@ -335,17 +353,21 @@ def _curvature_stats(
     ) / n
     r, s, r_noise, s_noise = plane_curvatures(jets, i, k, row_norms.T[i] * row_norms.T[k])
     abs_r, abs_s = np.abs(r).T, np.abs(s).T
-    k_bound = _bound(tol, k_noise)
-    r_bound = _bound(tol, r_noise)
+    k_bound = _bound(tol, k_noise[:, None], starts)
+    r_bound = _bound(tol, r_noise.T, starts)
     pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
-    return {
-        "vanishing_gk": (*_largest(abs_k), k_bound),
-        "flat": (*_largest(abs_r), r_bound),
-        "minimal": (*_largest(abs_h), _bound(tol, h_noise)),
-        "vanishing_sectional": (*_largest(abs_s), _bound(tol, s_noise)),
-        "nonvanishing_gk": (*_smallest(abs_k), 10.0 * k_bound),
-        "nonflat_everywhere": (*_smallest(pointwise_max_r), 10.0 * r_bound),
+    checks = {
+        "vanishing_gk": (_largest(abs_k, starts), k_bound),
+        "flat": (_largest(abs_r, starts), r_bound),
+        "minimal": (_largest(abs_h, starts), _bound(tol, h_noise[:, None], starts)),
+        "vanishing_sectional": (_largest(abs_s, starts), _bound(tol, s_noise.T, starts)),
+        "nonvanishing_gk": (_smallest(abs_k, starts), 10.0 * k_bound),
+        "nonflat_everywhere": (_smallest(pointwise_max_r, starts), 10.0 * r_bound),
     }
+    return [
+        {name: (*found[segment], float(bound[segment])) for name, (found, bound) in checks.items()}
+        for segment in range(len(starts))
+    ]
 
 
 def _substitution_stats(
@@ -358,7 +380,7 @@ def _substitution_stats(
     i, k = np.nonzero(~np.eye(n, dtype=bool))
     elasticities = output_elasticity(jets, coords, np.arange(n))
     # proportional MRS means MRS_ik == x_i / x_k
-    mrs_dev = _largest(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0).T)
+    (mrs_dev,) = _largest(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0).T, [0])
     return elasticities.T, mrs_dev, hicks_elasticity(jets, coords, *triu(n, 1)).T
 
 
@@ -395,7 +417,7 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     # Substitution first: its evaluation errors take precedence over a
     # curvature overflow at the same point, as in a report.
     coords, ((elasticities, mrs_dev, hicks), curvature) = grid_pass(
-        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol))
+        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol, [0])[0])
     )
     properties = [_verdict(name, *curvature[name], coords) for name in _CURVATURE_VERDICTS]
     properties.append(_verdict("proportional_mrs", *mrs_dev, tol.constancy_rel, coords))
@@ -582,15 +604,31 @@ def catalog_fixtures() -> list[CatalogFixture]:
 
 def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     """Run every fixture expectation and report pass/fail with the worst
-    witness.  Failures are report entries, never exceptions."""
+    witness.  Failures are report entries, never exceptions.
+
+    Consecutive fixtures of the same n share one curvature pass, joined
+    into blocks of at most ``jets._POINT_BLOCK`` points: each fixture's
+    tree gives its own grid jet, and the reductions run per fixture, so
+    every result is that of a pass over the fixture alone.  An evaluation
+    error is that of the first fixture that fails alone, at its first
+    failing point."""
     tol = tol or TolerancePolicy()
-    results = []
+    blocks: list[list[tuple[CatalogFixture, np.ndarray]]] = []
     for fx in catalog_fixtures():
-        grid = default_grid(fx.spec.n, seed=fx.seed)
-        coords, curvature = grid_pass(fx.spec, grid, lambda j, _: _curvature_stats(j, tol))
-        for check in fx.checks:
-            v = _verdict(check, *curvature[check], coords)
-            results.append(
-                ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
-            )
+        coords = default_grid(fx.spec.n, seed=fx.seed).coords()
+        block = blocks[-1] if blocks else []
+        points = sum(x.shape[1] for _, x in block) + coords.shape[1]
+        if block and block[0][0].spec.n == fx.spec.n and points <= _POINT_BLOCK:
+            block.append((fx, coords))
+        else:
+            blocks.append([(fx, coords)])
+    results = []
+    for block in blocks:
+        stats = _pass([(fx.spec, x) for fx, x in block], lambda j, _, starts: _curvature_stats(j, tol, starts))
+        for (fx, coords), curvature in zip(block, stats):
+            for check in fx.checks:
+                v = _verdict(check, *curvature[check], coords)
+                results.append(
+                    ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
+                )
     return CatalogReport(tuple(results))

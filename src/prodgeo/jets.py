@@ -326,8 +326,15 @@ def propagate(spec: "FunctionSpec", coords) -> Jet2:
     """
     if isinstance(coords, np.ndarray) and coords.ndim == 2 and coords.shape[1] > _POINT_BLOCK:
         blocks = [_propagate(spec, coords[:, s : s + _POINT_BLOCK]) for s in range(0, coords.shape[1], _POINT_BLOCK)]
-        return Jet2(*(np.concatenate(p, axis=-1) for p in zip(*((b.f, b.g, b.h) for b in blocks))), blocks[0].s)
+        return _joined(blocks)
     return _propagate(spec, coords)
+
+
+def _joined(jets: list[Jet2]) -> Jet2:
+    """Grid jets over the same inputs, joined along the point axis."""
+    if len(jets) == 1:
+        return jets[0]
+    return Jet2(*(np.concatenate(p, axis=-1) for p in zip(*((j.f, j.g, j.h) for j in jets))), jets[0].s)
 
 
 def _propagate(spec: "FunctionSpec", coords) -> Jet2:
@@ -360,7 +367,7 @@ def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
         raise
 
 
-def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
+def grid_jet(spec: "FunctionSpec", coords: np.ndarray, *more: tuple["FunctionSpec", np.ndarray]) -> SecondOrderJet:
     """``jet()`` at every point of a grid, in one pass over the tree.
 
     ``coords`` is (n, P): column k holds the coordinates of point k, a
@@ -368,11 +375,19 @@ def grid_jet(spec: "FunctionSpec", coords: np.ndarray) -> SecondOrderJet:
     axis and equals ``jet()`` at each point bit for bit.  Memory grows
     linearly in P.  A failure at any point raises the error of a failing
     point, without the point; ``classifier.grid_pass`` names the first.
+
+    ``more`` holds further (spec, coords) grids with the same number of
+    inputs, each propagated through its own tree; their points follow the
+    first grid's in the one jet.
     """
-    if coords.shape[0] != spec.n:
-        raise ArityMismatch(f"points have {coords.shape[0]} coordinates, function has {spec.n} inputs")
+    parts = ((spec, coords),) + more
+    for s, x in parts:
+        if x.shape[0] != s.n:
+            raise ArityMismatch(f"points have {x.shape[0]} coordinates, function has {s.n} inputs")
+    if any(s.n != spec.n for s, _ in more):
+        raise ArityMismatch("grids joined into one jet need the same number of inputs")
     with np.errstate(all="ignore"):
-        return _checked(propagate(spec, coords))
+        return _checked(_joined([propagate(s, x) for s, x in parts]))
 
 
 def univariate_jet(e: Expr, x: PointValues) -> tuple[PointValues, PointValues, PointValues]:

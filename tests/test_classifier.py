@@ -8,12 +8,18 @@ import pytest
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
 from prodgeo.classifier import (
+    CatalogFixture,
+    CatalogReport,
+    ExpectationResult,
     SampleGrid,
     TolerancePolicy,
+    _curvature_stats,
+    _verdict,
     catalog_fixtures,
     classify,
     default_grid,
     estimate_sigma,
+    grid_pass,
     verify_catalog,
 )
 from prodgeo.economics import hicks_elasticity, mrs
@@ -589,3 +595,64 @@ def test_flat_verdicts_imply_vanishing_sectional():
             compared += 1
     assert produced >= 10
     assert compared >= 10
+
+
+def _verify_per_fixture(tol):
+    """verify_catalog as one grid pass per fixture, with one segment each."""
+    results = []
+    for fx in catalog_fixtures():
+        coords, (curvature,) = grid_pass(
+            fx.spec, default_grid(fx.spec.n, seed=fx.seed), lambda j, _: _curvature_stats(j, tol, [0])
+        )
+        for check in fx.checks:
+            v = _verdict(check, *curvature[check], coords)
+            results.append(
+                ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
+            )
+    return CatalogReport(tuple(results))
+
+
+@pytest.mark.parametrize("zero", [None, 1e-20, 1e-3])
+def test_verify_catalog_packed_equals_one_pass_per_fixture(zero):
+    tol = TolerancePolicy() if zero is None else TolerancePolicy(zero_abs=zero, zero_rel=zero)
+    assert repr(verify_catalog(tol)) == repr(_verify_per_fixture(tol))
+
+
+def test_verify_catalog_runs_one_curvature_pass_per_block(monkeypatch):
+    # 13 fixtures of 81 points at n = 2 fill one block of at most 1,500
+    # points; 13 of 375 points at n = 3 fill blocks of 4, 4, 4 and 1.
+    import prodgeo.classifier
+
+    segments = []
+
+    def counting(jets, tol, starts):
+        segments.append(len(starts))
+        return _curvature_stats(jets, tol, starts)
+
+    monkeypatch.setattr(prodgeo.classifier, "_curvature_stats", counting)
+    verify_catalog()
+    assert segments == [13, 4, 4, 4, 1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FunctionSpec(2, Pow(Const(1.5) - Var(0), 0.5) + Exp(Mul(Const(-40.0), Var(1)))),
+        build_family("cobb_douglas", {"A": 1e100, "k": (1.0, 1.0)}),
+    ],
+    ids=["jets_fail", "slope_power_overflows"],
+)
+def test_verify_catalog_raises_the_error_of_the_failing_fixture_alone(monkeypatch, spec):
+    # The failing fixture sits mid-block, after good fixtures of its n.
+    import prodgeo.classifier
+
+    table = catalog_fixtures()
+    bad = CatalogFixture("bad", spec, ("vanishing_gk",), seed=3)
+    monkeypatch.setattr(prodgeo.classifier, "catalog_fixtures", lambda: table[:3] + [bad] + table[3:])
+    with pytest.raises(ProdGeoError) as packed:
+        verify_catalog()
+    with pytest.raises(ProdGeoError) as alone:
+        grid_pass(spec, default_grid(2, seed=3), lambda j, _: _curvature_stats(j, TolerancePolicy(), [0]))
+    assert type(packed.value) is type(alone.value)
+    assert packed.value.point == alone.value.point is not None
+    assert str(packed.value) == str(alone.value)

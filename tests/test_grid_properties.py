@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo.catalog import Diagnostic, FunctionSpec, Point, _axis_samples, build_family, build_quasi_product, validate
-from prodgeo.classifier import SampleGrid, _mean_spread, estimate_sigma
+from prodgeo.classifier import SampleGrid, TolerancePolicy, _bound, _largest, _mean_spread, _smallest, estimate_sigma
 from prodgeo.economics import ZERO_MARGINAL_RTOL, hicks_elasticity
 from prodgeo.errors import DomainViolation, ProdGeoError
 from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, eval_expr, variables
@@ -93,6 +93,50 @@ def test_mean_spread_equals_the_list_reduction(rows):
     assert (type(mean), type(spread)) == (float, float)
     unsigned_nan = lambda xs: _bits([math.nan if math.isnan(x) else x for x in xs])  # noqa: E731
     assert unsigned_nan([mean, spread]) == unsigned_nan([total / len(flat), max(flat) - min(flat)])
+
+
+def _largest_of_grid(a):
+    """The reduction over a whole grid that the segment-aware one replaces."""
+    per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
+    k = int(np.argmax(per_point))
+    return (float(per_point[k]), k) if per_point[k] > -np.inf else (-math.inf, None)
+
+
+def _smallest_of_grid(a):
+    value, k = _largest_of_grid(-a)
+    return -value, k
+
+
+def _bound_of_grid(tol, noise):
+    return tol.zero_abs + tol.zero_rel * float(np.where(np.isnan(noise), 0.0, noise).max(initial=0.0))
+
+
+@st.composite
+def segmented_arrays(draw):
+    """A (P, m) array with special values, strictly increasing segment
+    starts from 0, and some segments all NaN."""
+    m = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(special | st.floats(), min_size=m, max_size=m), min_size=1, max_size=24))
+    a = np.array(rows).reshape(len(rows), m)
+    starts = [0] + sorted(draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else [])
+    ends = starts[1:] + [len(rows)]
+    for lo, hi in zip(starts, ends):
+        if draw(st.booleans()):
+            a[lo:hi] = math.nan
+    return a, np.array(starts), list(zip(starts, ends))
+
+
+@settings(max_examples=100, deadline=None)
+@given(segmented_arrays(), st.floats(1e-30, 1.0), st.floats(1e-30, 1.0))
+def test_segment_reductions_equal_the_reductions_of_each_slice(case, zero_abs, zero_rel):
+    a, starts, segments = case
+    tol = TolerancePolicy(zero_abs=zero_abs, zero_rel=zero_rel)
+    largest, smallest, bound = _largest(a, starts), _smallest(a, starts), _bound(tol, a, starts)
+    assert len(largest) == len(smallest) == len(bound) == len(segments)
+    for s, (lo, hi) in enumerate(segments):
+        for got, want in ((largest[s], _largest_of_grid(a[lo:hi])), (smallest[s], _smallest_of_grid(a[lo:hi]))):
+            assert _bits(got[0]) == _bits(want[0]) and got[1] == want[1]
+        assert _bits(bound[s]) == _bits(_bound_of_grid(tol, a[lo:hi]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -298,6 +298,23 @@ def test_grid_jet_of_constant_body_and_failures():
         grid_jet(FunctionSpec(2, Var(0) + Var(1)), np.ones((3, 4)))
 
 
+def test_grid_jet_of_several_grids_joins_their_jets_bitwise():
+    # A constant body, a body of one input and ACMS, the middle grid past
+    # the propagation block: each part keeps its own tree and support.
+    parts = [
+        (FunctionSpec(2, Const(3.0)), default_grid(2, seed=1).coords()),
+        (FunctionSpec(2, Exp(Mul(Const(0.3), Var(1)))), default_grid(2, points_per_axis=40).coords()),
+        (FAMILY_SPECS[2], default_grid(2, seed=2).coords()),
+    ]
+    joined = grid_jet(*parts[0], *parts[1:])
+    alone = [grid_jet(spec, x) for spec, x in parts]
+    assert joined.value.tobytes() == np.concatenate([j.value for j in alone]).tobytes()
+    assert joined.gradient.tobytes() == np.concatenate([j.gradient for j in alone], axis=-1).tobytes()
+    assert joined.hessian.tobytes() == np.concatenate([j.hessian for j in alone], axis=-1).tobytes()
+    with pytest.raises(ArityMismatch):
+        grid_jet(*parts[0], (FAMILY_SPECS[1], default_grid(3).coords()))
+
+
 #: A six-input body of exp, ln and real powers, positive on the default grid.
 _TRANSCENDENTAL_6IN = FunctionSpec(
     6,

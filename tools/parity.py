@@ -172,6 +172,7 @@ def library_cases():
     cases = [
         ("verify_catalog/default", verify_catalog),
         ("verify_catalog/tol_zero_1e-20", lambda: verify_catalog(TolerancePolicy(zero_abs=1e-20, zero_rel=1e-20))),
+        ("verify_catalog/tol_zero_1e-3", lambda: verify_catalog(TolerancePolicy(zero_abs=1e-3, zero_rel=1e-3))),
     ]
     for name, family, params in FAMILIES:
         spec = build_family(_FAMILY_ALIASES.get(family, family), _parse_params(params))
