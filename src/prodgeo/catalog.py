@@ -20,7 +20,6 @@ evaluation is pure.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,11 +47,12 @@ from .expr import (
     eval_value,
     expr_from_obj,
     expr_to_obj,
+    is_number,
     product_chain,
     substitute,
     sum_chain,
 )
-from .jets import gradient_norm_sq, propagate, univariate_jet
+from .jets import _POINT_BLOCK, gradient_norm_sq, propagate, univariate_jet
 from .points import Point, as_point
 
 __all__ = [
@@ -83,12 +83,10 @@ FAMILIES = frozenset(
     }
 )
 
-# The points per axis validate() may sample, the most first; the cap on
-# its mesh and on a SampleGrid; and the points validate() evaluates at
-# once, which bounds its memory.
+# The points per axis validate() may sample, the most first, and the cap
+# on its mesh and on a SampleGrid.
 _VALIDATE_POINTS_PER_AXIS = (5, 4, 3, 2)
 MAX_GRID_POINTS = 100_000
-_VALIDATE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -330,11 +328,6 @@ class Diagnostic:
     value: Optional[float] = None
 
 
-def _axis_samples(lo: float, hi: float, count: int) -> list[float]:
-    ratio = hi / lo
-    return [lo * ratio ** (i / (count - 1)) for i in range(count)]
-
-
 def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     """Probe the spec over a box of positive bounds.
 
@@ -348,8 +341,8 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
     derivatives vanish where their elasticities, u F'(u) / F(u) and
     x_i g_i'(x_i) / g_i(x_i), are within 1e-12 of zero.  Diagnostics are the
     output; nothing raises for a bad function, only for a bad region.
-    Blocks of points are evaluated at once, and a block where a point
-    fails again one point at a time.
+    Blocks of ``jets._POINT_BLOCK`` points are evaluated at once, and a
+    block where a point fails again one point at a time.
     """
     region = [(float(lo), float(hi)) for lo, hi in region]
     if len(region) != spec.n:
@@ -363,24 +356,27 @@ def validate(spec: FunctionSpec, region) -> list[Diagnostic]:
         raise ParameterViolation(
             f"region has {len(region)} axes; a mesh of 2 points per axis would exceed {MAX_GRID_POINTS} points"
         )
-    mesh = itertools.product(*(_axis_samples(lo, hi, count) for lo, hi in region))
+    axes = np.array([[lo * (hi / lo) ** (i / (count - 1)) for i in range(count)] for lo, hi in region])
+    rows, size = np.arange(spec.n)[:, None], count**spec.n
     findings: list[Diagnostic] = []
-    while block := list(itertools.islice(mesh, _VALIDATE_BLOCK)):
-        coords = np.array(block).T
+    for start in range(0, size, _POINT_BLOCK):
+        # C order: the last axis varies fastest.
+        columns = np.unravel_index(range(start, min(start + _POINT_BLOCK, size)), (count,) * spec.n)
+        coords = axes[rows, np.stack(columns)]
         try:
-            findings += _findings(spec, block, coords)
+            findings += _findings(spec, coords)
         except DomainViolation:
-            for k, point in enumerate(block):
+            for k in range(coords.shape[1]):
                 try:
-                    findings += _findings(spec, [point], coords[:, k : k + 1])
+                    findings += _findings(spec, coords[:, k : k + 1])
                 except DomainViolation as e:
-                    findings.append(Diagnostic(Point(point), "evaluation_error", str(e)))
+                    findings.append(Diagnostic(Point(coords[:, k].tolist()), "evaluation_error", str(e)))
     return findings
 
 
-def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagnostic]:
-    """The findings at the points ``block``, with coordinates ``coords``
-    (n, P), in point order; raises DomainViolation if any point fails."""
+def _findings(spec: FunctionSpec, coords: np.ndarray) -> list[Diagnostic]:
+    """The findings at the points with coordinates ``coords`` (n, P), in
+    point order; raises DomainViolation if any point fails."""
     with np.errstate(all="ignore"):
         out = propagate(spec, coords)
         f, g = out.f, np.ascontiguousarray(out.g.T)
@@ -409,7 +405,7 @@ def _findings(spec: FunctionSpec, block: list, coords: np.ndarray) -> list[Diagn
             checks.append((zero, "zero_outer_derivative", "F' = {!r}", None, fd1))
     found = []
     for k in np.flatnonzero(np.any([mask for mask, *_ in checks], axis=0)):
-        point = Point(block[k])
+        point = Point(coords[:, k].tolist())
         for mask, code, message, axis, values in checks:
             if mask[k]:
                 v = float(values[k])
@@ -437,6 +433,8 @@ def _params_from_obj(obj) -> dict:
     out = {}
     for key, value in obj.items():
         try:
+            if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+                raise TypeError("a boolean is not a number")
             if isinstance(value, list):
                 out[key] = tuple(float(v) for v in value)
             else:
@@ -473,7 +471,7 @@ def spec_from_json_obj(obj: dict) -> FunctionSpec:
         body = obj["body"]
     except KeyError as e:
         raise ExpressionError(f"spec document missing field {e.args[0]!r}") from None
-    if not isinstance(n, int):
+    if not is_number(n, int):
         raise ExpressionError(f"field 'n' must be an int, got {n!r}")
     if not isinstance(family, str):
         raise ExpressionError(f"field 'family' must be a string, got {family!r}")

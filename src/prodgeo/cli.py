@@ -128,14 +128,15 @@ def _load_spec(args) -> FunctionSpec:
     if args.spec and args.family:
         raise _InputError("give either --spec or --family, not both")
     if args.spec:
-        if args.spec == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.spec == "-":
+                text = sys.stdin.read()
+            else:
                 with open(args.spec, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as e:
-                raise _InputError(f"cannot read spec file: {e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            source = "standard input" if args.spec == "-" else "spec file"
+            raise _InputError(f"cannot read {source}: {e}") from None
         return spec_from_json(text)
     if args.family:
         family = _FAMILY_ALIASES.get(args.family, args.family).replace("-", "_")
@@ -193,11 +194,14 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 
 def _write(text: str, out: Optional[str]):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise _InputError(f"cannot write output: {e}") from None
 
 
 def _render_analyze(spec, table, fmt: str) -> str:

@@ -60,6 +60,7 @@ __all__ = [
     "eval_value",
     "expr_to_obj",
     "expr_from_obj",
+    "is_number",
 ]
 
 # Integer exponents above this bound fall back to the positive-base power
@@ -480,6 +481,12 @@ def expr_from_obj(obj) -> Expr:
     return _decode(obj)
 
 
+def is_number(x, kinds=(int, float)) -> bool:
+    """Whether a decoded JSON value is one of ``kinds``; true and false are
+    not numbers, though Python's bool is an int."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _decode(obj) -> Expr:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ExpressionError(f"expression node must be a non-empty array, got {obj!r}")
@@ -490,10 +497,10 @@ def _decode(obj) -> Expr:
     _, arity, count = _KINDS[node]
     if len(args) != arity:
         raise ExpressionError(f"node {tag!r} expects {arity} argument(s), got {len(args)}")
-    if node is Const and not isinstance(args[0], (int, float)):
+    if node is Const and not is_number(args[0]):
         raise ExpressionError(f"const payload must be a number, got {args[0]!r}")
-    if node is Var and not isinstance(args[0], int):
+    if node is Var and not is_number(args[0], int):
         raise ExpressionError(f"var payload must be an int, got {args[0]!r}")
-    if node is Pow and not isinstance(args[1], (int, float)):
+    if node is Pow and not is_number(args[1]):
         raise ExpressionError(f"pow exponent must be a number, got {args[1]!r}")
     return node(*map(_decode, args[:count]), *args[count:])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ from prodgeo.errors import (
     ParameterViolation,
 )
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr, product_chain, sum_chain
-from prodgeo.jets import jet, propagate, univariate_jet
+from prodgeo.jets import _POINT_BLOCK, jet, propagate, univariate_jet
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +256,9 @@ def test_validate_reports_evaluation_errors_exactly_at_failing_points():
 
 
 def test_validate_failing_points_in_a_later_block():
-    # 5^6 = 15,625 mesh points, evaluated in blocks of 4,096; x1 varies
-    # slowest, so x1 = 2 (points 12,500 on) fails only in the last block,
-    # which also holds clean points.
+    # 5^6 = 15,625 mesh points, evaluated in blocks of 1,500; x1 varies
+    # slowest, so x1 = 2 (points 12,500 on) fails only in the last three
+    # blocks, the first of which also holds clean points.
     spec = FunctionSpec(6, sum_chain([Pow(Const(1.5) - Var(0), 0.5)] + [Var(i) for i in range(1, 6)]))
     findings = validate(spec, [(0.5, 2.0)] * 6)
     assert len(findings) == 5**5
@@ -278,7 +279,7 @@ def test_validate_evaluates_a_clean_mesh_once_per_block(monkeypatch):
     monkeypatch.setattr(prodgeo.catalog, "propagate", counting)
     spec = build_family("cobb_douglas", {"A": 1.0, "k": [0.1] * 6})
     assert validate(spec, [(0.5, 2.0)] * 6) == []
-    assert calls == [(6, 4096)] * 3 + [(6, 15_625 - 3 * 4096)]
+    assert calls == [(6, _POINT_BLOCK)] * 10 + [(6, 15_625 - 10 * _POINT_BLOCK)]
 
 
 def test_validate_inner_failure_is_a_body_failure():
@@ -400,6 +401,28 @@ def test_spec_json_round_trip(spec):
     assert again == spec
     # serialize -> parse -> serialize is byte-identical (numeric literals exact)
     assert spec_to_json(again) == text
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"n": True}, "field 'n' must be an int, got True"),
+        ({"params": {"A": True}}, "parameter 'A' must be a number or a list of numbers, got True"),
+        ({"params": {"k": [0.5, False]}}, "parameter 'k' must be a number or a list of numbers, got [0.5, False]"),
+        ({"body": ["mul", ["var", 0], ["var", True]]}, "var payload must be an int, got True"),
+    ],
+)
+def test_spec_json_rejects_booleans_as_numbers(field, message):
+    doc = {"n": 2, "family": "custom", "body": ["mul", ["var", 0], ["var", 1]], **field}
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        spec_from_json(json.dumps(doc))
+
+
+def test_spec_json_keeps_integer_numbers():
+    doc = {"n": 2, "family": "custom", "body": ["mul", ["var", 0], ["var", 1]], "params": {"A": 2, "k": [1, 3]}}
+    spec = spec_from_json(json.dumps(doc))
+    assert spec.n == 2 and spec.body == Mul(Var(0), Var(1))
+    assert spec.params == {"A": 2.0, "k": (1.0, 3.0)}
 
 
 def test_spec_json_rejects_bad_documents():

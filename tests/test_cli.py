@@ -131,6 +131,29 @@ def test_malformed_spec_document_exits_2(capsys, monkeypatch, field):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+    rc, stdout, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--out", str(out))
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+
+
+def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    rc, out, err = run(capsys, "classify", "--spec", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read spec file: ") and "Traceback" not in err
+    # Standard input under a strict UTF-8 decoder raises the same error.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+    rc, out, err = run(capsys, "classify", "--spec", "-")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read standard input: ") and "Traceback" not in err
+
+
 def test_verify_passes_and_is_reproducible(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -122,6 +123,27 @@ def test_serialization_rejects_malformed_nodes():
         expr_from_obj(["var", "zero"])
     with pytest.raises(ExpressionError):
         expr_from_obj([])
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (["var", True], "var payload must be an int, got True"),
+        (["var", False], "var payload must be an int, got False"),
+        (["const", True], "const payload must be a number, got True"),
+        (["pow", ["var", 0], True], "pow exponent must be a number, got True"),
+    ],
+)
+def test_serialization_rejects_booleans_as_numbers(obj, message):
+    # JSON true is Python's True, an int equal to 1: ["var", true] would mean x2.
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        expr_from_obj(json.loads(json.dumps(obj)))
+
+
+def test_serialization_keeps_integer_payloads():
+    assert expr_from_obj(["var", 1]) == Var(1)
+    assert expr_from_obj(["const", 1]) == Const(1.0)
+    assert expr_from_obj(["pow", ["var", 0], 2]) == Pow(Var(0), 2)
 
 
 def test_product_chain_left_associates():

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodgeo.catalog import Diagnostic, FunctionSpec, Point, _axis_samples, build_family, build_quasi_product, validate
+from prodgeo.catalog import Diagnostic, FunctionSpec, Point, build_family, build_quasi_product, validate
 from prodgeo.classifier import SampleGrid, TolerancePolicy, _bound, _largest, _mean_spread, _smallest, estimate_sigma
 from prodgeo.economics import ZERO_MARGINAL_RTOL, hicks_elasticity
 from prodgeo.errors import DomainViolation, ProdGeoError
@@ -177,8 +177,9 @@ def test_grid_reports_equal_pointwise_reports(case):
 
 def _reference_validate(spec, region):
     """validate() as a loop over its mesh: scalar jets at each point, and
-    each inner factor and the outer function evaluated on their own."""
-    axes = [_axis_samples(lo, hi, 5) for lo, hi in region]
+    each inner factor and the outer function evaluated on their own, over
+    the documented mesh: 5 log-uniform samples per axis, endpoints included."""
+    axes = [[lo * (hi / lo) ** (i / 4) for i in range(5)] for lo, hi in region]
     findings = []
     for coords in itertools.product(*axes):
         point = Point(coords)

@@ -129,8 +129,11 @@ def cli_cases():
         ("tol_const", ["classify", "--family", "spillman", "--params", "A=1,a=1:1", "--tol-const", "0.5"]),
         ("no_function", ["classify"]),
         ("unknown_family", ["classify", "--family", "nope"]),
+        ("out_missing_directory", ["classify", *cd, "--out", os.path.join(ROOT, "tools", "no-such-directory", "x.json")]),
     ]:
         cases.append((f"cli/input/{name}", argv, ""))
+    # JSON true is not the variable index 1
+    cases.append(("cli/input/var_true", ["classify", "--spec", "-"], _document(2, ["var", 0], ["var", True])))
     return cases
 
 
