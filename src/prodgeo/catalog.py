@@ -432,19 +432,16 @@ def _params_from_obj(obj) -> dict:
         raise ExpressionError(f"field 'params' must be an object, got {obj!r}")
     out = {}
     for key, value in obj.items():
+        numbers = value if isinstance(value, list) else [value]
+        if not all(is_number(v) for v in numbers):
+            raise ExpressionError(f"parameter {key!r} must be a number or a list of numbers, got {value!r}")
         try:
-            if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-                raise TypeError("a boolean is not a number")
-            if isinstance(value, list):
-                out[key] = tuple(float(v) for v in value)
-            else:
-                out[key] = float(value)
-        except (TypeError, ValueError):
-            raise ExpressionError(
-                f"parameter {key!r} must be a number or a list of numbers, got {value!r}"
-            ) from None
+            floats = tuple(map(float, numbers))
         except OverflowError:
             raise ExpressionError(f"parameter {key!r} has an integer beyond the float range") from None
+        if not all(map(math.isfinite, floats)):
+            raise ExpressionError(f"parameter {key!r} must be finite, got {value!r}")
+        out[key] = floats if isinstance(value, list) else floats[0]
     return out
 
 

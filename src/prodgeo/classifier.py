@@ -46,7 +46,7 @@ from .geometry import (
     slope_w,
 )
 from .jets import _POINT_BLOCK, SecondOrderJet, grid_jet
-from .linalg import quadratic_form, triu
+from .linalg import ordered_pairs, quadratic_form, triu
 from .points import Point
 
 __all__ = [
@@ -377,7 +377,7 @@ def _substitution_stats(
     with its point's index (reduced at once, before the curvature pass)
     and Hicks elasticities (P, pairs) over the grid, in one pass."""
     n = jets.n
-    i, k = np.nonzero(~np.eye(n, dtype=bool))
+    i, k = ordered_pairs(n)
     elasticities = output_elasticity(jets, coords, np.arange(n))
     # proportional MRS means MRS_ik == x_i / x_k
     (mrs_dev,) = _largest(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0).T, [0])

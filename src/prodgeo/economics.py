@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, DomainViolation, SingularAllenDeterminant, ZeroMarginalProduct
 from .jets import PointValues, SecondOrderJet, _read_only
-from .linalg import det_pivoted, pair_matrix, pairs, quadratic_form, symmetric_matrix, triu
+from .linalg import det_pivoted, ordered_pairs, pair_matrix, pairs, quadratic_form, symmetric_matrix, triu
 from .points import Point, as_point
 
 __all__ = [
@@ -180,13 +180,12 @@ def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
 
 def substitution_fields(j: SecondOrderJet, x) -> dict:
     """Every field of a SubstitutionSample but the point, at the point or
-    grid of ``j`` with coordinates ``x``; a grid's fields carry a leading
-    point axis."""
+    grid of ``j`` with coordinates ``x``, as flat cells: a field per input,
+    ordered pair or pair i < k has a leading axis of one value per cell, in
+    the order of ``report_record``; a grid's cells carry a point axis last."""
     n = j.n
     i, k = triu(n, 1)
-    elasticities = _read_only(output_elasticity(j, x, np.arange(n)).T)
-    ordered = np.nonzero(~np.eye(n, dtype=bool))
-    mrs_values = mrs(j, *ordered)
+    elasticities, mrs_values = output_elasticity(j, x, np.arange(n)), mrs(j, *ordered_pairs(n))
     # The bordered determinant is checked after the first Hicks pair: a
     # point where both fail reports the Hicks error, as a loop over the
     # pairs computing Hicks, then Allen elasticities would.
@@ -194,11 +193,21 @@ def substitution_fields(j: SecondOrderJet, x) -> dict:
     allen, delta = _allen(j, x)
     return dict(
         elasticities=elasticities,
-        mrs=pair_matrix(n, *ordered, mrs_values, 1.0),
-        hicks=symmetric_matrix(n, np.concatenate([first_hicks, hicks_elasticity(j, x, i[1:], k[1:])])),
-        allen=symmetric_matrix(n, allen),
+        mrs=mrs_values,
+        hicks=np.concatenate([first_hicks, hicks_elasticity(j, x, i[1:], k[1:])]),
+        allen=allen,
         allen_determinant=delta,
     )
+
+
+def _record_matrices(n: int, cells: dict) -> dict:
+    """The flat ``cells`` of one point as the fields of its record: the
+    MRS as the n x n matrix with ones on the diagonal, each per-pair field
+    as its symmetric matrix, and the elasticities as a vector, all read-only."""
+    fields = dict(cells, elasticities=_read_only(cells["elasticities"]))
+    fields["mrs"] = pair_matrix(n, *ordered_pairs(n), cells["mrs"], 1.0)
+    fields.update((f, symmetric_matrix(n, cells[f])) for f in ("sectional", "hicks", "allen") if f in cells)
+    return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,4 +228,4 @@ class SubstitutionSample:
 
 def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
     point = as_point(p)
-    return SubstitutionSample(point=point, **substitution_fields(j, point))
+    return SubstitutionSample(point=point, **_record_matrices(j.n, substitution_fields(j, point)))

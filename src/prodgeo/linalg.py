@@ -90,17 +90,18 @@ def pairs(n: int) -> list[tuple[int, int]]:
     return [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
-def ordered_pairs(n: int) -> list[tuple[int, int]]:
-    """The ordered input pairs i != k, in the order of a loop over i, then k."""
-    return [(i, k) for i in range(n) for k in range(n) if i != k]
+@cache
+def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered input pairs i != k as index arrays (rows, cols), in the
+    order of a loop over i, then k; computed once per n, like ``triu``."""
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def pair_matrix(n: int, rows, cols, values, diagonal: float) -> np.ndarray:
     """The read-only n x n matrix with ``diagonal`` on its diagonal and
-    ``values[m]`` at position (``rows[m]``, ``cols[m]``).  Values with one
-    entry per point give the (P, n, n) stack of each point's matrix."""
-    matrix = np.full(np.shape(values)[1:] + (n, n), diagonal)
-    matrix[..., rows, cols] = np.transpose(values)
+    ``values[m]`` at position (``rows[m]``, ``cols[m]``)."""
+    matrix = np.full((n, n), diagonal)
+    matrix[rows, cols] = values
     matrix.setflags(write=False)
     return matrix
 

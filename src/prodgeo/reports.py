@@ -1,7 +1,7 @@
 """Per-point analysis reports, and a grid's reports as one table for CSV
-and JSON output.  One field builder applies the geometry and economics
-formulas to a one-point jet or to a grid jet, so a grid's reports equal
-the reports of its points bit for bit.
+and JSON output.  One field builder gives every indicator as flat cells
+of a one-point or a grid jet; a report builds its matrices from its
+point's cells, so each row of a table equals its point's report bit for bit.
 
 Index labels in rendered output are 1-based (x1, x2, ...) to read
 naturally; the in-process API stays 0-based.
@@ -16,13 +16,13 @@ import numpy as np
 
 from .catalog import FunctionSpec, as_point
 from .classifier import SampleGrid, grid_pass
-from .economics import substitution_fields
+from .economics import _record_matrices, substitution_fields
 from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
 from .jets import SecondOrderJet, jet
-from .linalg import ordered_pairs, pairs, symmetric_matrix, triu
+from .linalg import ordered_pairs, pairs, triu
 from .points import Point
 
-__all__ = ["GeometryReport", "geometry_report", "grid_reports", "report_table", "report_record", "report_header"]
+__all__ = ["GeometryReport", "geometry_report", "report_table", "report_record", "report_header"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,45 +47,33 @@ class GeometryReport:
 
 
 def _fields(j: SecondOrderJet, x) -> dict:
-    """Every GeometryReport field but the point, at the point or grid of
-    ``j`` with coordinates ``x``; a grid's fields carry a leading point
-    axis."""
+    """Every GeometryReport field but the point, as the flat cells of
+    ``substitution_fields``, at the point or grid of ``j`` with coordinates
+    ``x``, in the order of ``report_record``."""
     # Substitution first: its evaluation errors take precedence over a
     # curvature overflow at the same point.
+    substitution = substitution_fields(j, x)
     return dict(
-        substitution_fields(j, x),
         value=j.value,
         slope=slope_w(j),
         gauss_kronecker=gauss_kronecker(j),
         mean_curvature=mean_curvature_of_jet(j),
-        sectional=symmetric_matrix(j.n, sectional_curvature(j, *triu(j.n, 1))),
+        sectional=sectional_curvature(j, *triu(j.n, 1)),
+        **substitution,
     )
 
 
 def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
     point = as_point(p)
-    return GeometryReport(point=point, **_fields(jet(spec, point), point))
-
-
-def grid_reports(spec: FunctionSpec, grid: SampleGrid) -> list[GeometryReport]:
-    """``geometry_report`` at every point of the grid, evaluated at once."""
-    coords, fields = grid_pass(spec, grid, _fields)
-    return [
-        GeometryReport(point=Point(tuple(c)), **{name: v[k] if v.ndim > 1 else float(v[k]) for name, v in fields.items()})
-        for k, c in enumerate(coords.T.tolist())
-    ]
+    return GeometryReport(point=point, **_record_matrices(spec.n, _fields(jet(spec, point), point)))
 
 
 def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
-    """The reports of ``grid_reports`` as one (P, m) array, one row per
-    point and one column per name of ``report_header``."""
-    coords, f = grid_pass(spec, grid, _fields)
-    i, k = triu(spec.n, 1)
-    oi, ok = np.array(ordered_pairs(spec.n)).T
-    return np.column_stack([
-        coords.T, f["value"], f["slope"], f["gauss_kronecker"], f["mean_curvature"], f["sectional"][:, i, k],
-        f["elasticities"], f["mrs"][:, oi, ok], f["hicks"][:, i, k], f["allen"][:, i, k], f["allen_determinant"],
-    ])
+    """``geometry_report`` at every point of the grid, evaluated at once, as
+    one (P, m) array: one row per point and one column per name of
+    ``report_header``."""
+    coords, fields = grid_pass(spec, grid, _fields)
+    return np.column_stack([coords.T, *(v.T for v in fields.values())])
 
 
 def report_record(n: int, cells) -> dict:
@@ -96,7 +84,7 @@ def report_record(n: int, cells) -> dict:
     groups = {
         "sectional": pair_labels,
         "elasticity": [f"x{i + 1}" for i in range(n)],
-        "mrs": [f"{i + 1}_{k + 1}" for i, k in ordered_pairs(n)],
+        "mrs": [f"{i + 1}_{k + 1}" for i, k in zip(*ordered_pairs(n))],
         "hicks": pair_labels,
         "allen": pair_labels,
     }

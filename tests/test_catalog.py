@@ -18,6 +18,7 @@ from prodgeo.catalog import (
     spec_to_json,
     validate,
 )
+from prodgeo.classifier import catalog_fixtures
 from prodgeo.errors import (
     ArityMismatch,
     DomainViolation,
@@ -210,6 +211,15 @@ def test_validate_flags_transcendental_turning_point():
     findings = validate(spec, [(0.5, 2.0), (0.5, 2.0)])
     hits = [d for d in findings if d.code == "zero_partial" and d.axis == 0]
     assert hits and all(d.point[0] == 1.0 for d in hits)
+
+
+def test_validate_lists_findings_in_mesh_order():
+    # x1 x2 <= 1 on a corner of the box spanning several samples of both
+    # axes; the last axis varies fastest, so the points come sorted.
+    findings = validate(FunctionSpec(2, Var(0) * Var(1) - 1), [(0.5, 2.0), (0.25, 3.0)])
+    points = [d.point.coords for d in findings]
+    assert len({p[0] for p in points}) > 1 and len({p[1] for p in points}) > 1
+    assert points == sorted(points)
 
 
 def test_validate_composition_diagnostics():
@@ -416,6 +426,35 @@ def test_spec_json_rejects_booleans_as_numbers(field, message):
     doc = {"n": 2, "family": "custom", "body": ["mul", ["var", 0], ["var", 1]], **field}
     with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
         spec_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"nan"', "parameter 'A' must be a number or a list of numbers, got 'nan'"),
+        ('"1e999"', "parameter 'A' must be a number or a list of numbers, got '1e999'"),
+        ('" 2.5 "', "parameter 'A' must be a number or a list of numbers, got ' 2.5 '"),
+        ('[0.5, "0.7"]', "parameter 'A' must be a number or a list of numbers, got [0.5, '0.7']"),
+        ("NaN", "parameter 'A' must be finite, got nan"),
+        ("[0.5, -Infinity]", "parameter 'A' must be finite, got [0.5, -inf]"),
+        ("1e999", "parameter 'A' must be finite, got inf"),
+    ],
+)
+def test_spec_json_params_are_finite_json_numbers(text, message):
+    doc = '{"n": 2, "family": "custom", "body": ["add", ["var", 0], ["var", 1]], "params": {"A": %s}}' % text
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        spec_from_json(doc)
+
+
+def test_spec_json_of_an_accepted_spec_is_strict_json():
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    doc = {"n": 2, "family": "custom", "body": ["add", ["var", 0], ["var", 1]], "params": {"A": 2.5, "k": [1, -0.5]}}
+    specs = [spec_from_json(json.dumps(doc))] + [fx.spec for fx in catalog_fixtures()]
+    for spec in specs:
+        assert spec_from_json(spec_to_json(spec)) == spec
+        json.loads(spec_to_json(spec), parse_constant=reject)
 
 
 def test_spec_json_keeps_integer_numbers():

@@ -32,6 +32,7 @@ from prodgeo.errors import (
 )
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
 from prodgeo.jets import grid_jet, jet
+from prodgeo.linalg import ordered_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +333,7 @@ def test_classify_checks_each_marginal_product_once(monkeypatch):
     checked.clear()
     one_input = SecondOrderJet(2.0, np.array([0.5]), np.array([[-0.25]]))
     elasticities = output_elasticity(one_input, (1.5,), np.arange(1))
-    mrs_values = mrs(one_input, *np.nonzero(~np.eye(1, dtype=bool)))
+    mrs_values = mrs(one_input, *ordered_pairs(1))
     hicks = hicks_elasticity(one_input, (1.5,), *np.triu_indices(1, 1))
     assert (len(elasticities), len(mrs_values), len(hicks), checked) == (1, 0, 0, [])
 
@@ -340,14 +341,14 @@ def test_classify_checks_each_marginal_product_once(monkeypatch):
 def test_classify_names_the_first_point_of_a_curvature_overflow():
     # w ** 4 overflows at every point of the grid; the error names the
     # first, with the message that the per-point reports raise.
-    from prodgeo.reports import grid_reports
+    from prodgeo.reports import report_table
 
     spec = build_family("cobb_douglas", {"A": 1e100, "k": (1.0, 1.0)})
     grid = default_grid(2)
     with pytest.raises(DomainViolation) as exc:
         classify(spec, grid)
     with pytest.raises(DomainViolation) as reports:
-        grid_reports(spec, grid)
+        report_table(spec, grid)
     assert exc.value.point == grid.points()[0]
     assert str(exc.value) == str(reports.value)
     assert str(exc.value).startswith("slope factor power overflows: 7.807091821557099e+99 ** 4 at point")
@@ -382,14 +383,14 @@ def _first_raising(fn, points):
 
 @pytest.mark.parametrize("case", ONE_PASS_CASES.values(), ids=ONE_PASS_CASES.keys())
 def test_classify_raises_the_error_of_the_reports(case):
-    from prodgeo.reports import geometry_report, grid_reports
+    from prodgeo.reports import geometry_report, report_table
 
     spec, error, message = case
     grid = default_grid(2)
     with pytest.raises(ProdGeoError) as exc:
         classify(spec, grid)
     with pytest.raises(ProdGeoError) as reports:
-        grid_reports(spec, grid)
+        report_table(spec, grid)
     assert type(exc.value) is type(reports.value) is error
     assert exc.value.point == reports.value.point
     assert str(exc.value) == str(reports.value) == f"{message} at point {exc.value.point.coords}"

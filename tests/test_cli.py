@@ -12,7 +12,7 @@ from prodgeo.cli import main
 from prodgeo.errors import ExpressionError
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
 from prodgeo.linalg import ordered_pairs, pairs
-from prodgeo.reports import grid_reports, report_header, report_record
+from prodgeo.reports import geometry_report, report_header, report_record
 
 
 def run(capsys, *argv):
@@ -131,6 +131,17 @@ def test_malformed_spec_document_exits_2(capsys, monkeypatch, field):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("params", ['{"A": "nan", "k": "1e999"}', '{"A": NaN}', '{"k": [1, Infinity]}'])
+def test_non_finite_params_exit_2(capsys, monkeypatch, params):
+    import io
+
+    doc = '{"n": 2, "family": "custom", "body": ["add", ["var", 0], ["var", 1]], "params": %s}' % params
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    rc, out, err = run(capsys, "classify", "--spec", "-")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: parameter ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
 def test_unwritable_out_exits_2(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
@@ -207,7 +218,7 @@ def _per_row_analyze(spec, grid, fmt):
     header = [f"x{i + 1}" for i in range(n)] + ["f", "w", "gauss_kronecker", "mean_curvature"]
     header += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs(n)]
     header += [f"elasticity_x{i + 1}" for i in range(n)]
-    header += [f"mrs_{i + 1}_{k + 1}" for i, k in ordered_pairs(n)]
+    header += [f"mrs_{i + 1}_{k + 1}" for i, k in zip(*ordered_pairs(n))]
     header += [f"{name}_{i + 1}_{k + 1}" for name in ("hicks", "allen") for i, k in pairs(n)]
     header += ["allen_determinant"]
     records = [
@@ -219,12 +230,12 @@ def _per_row_analyze(spec, grid, fmt):
             "mean_curvature": r.mean_curvature,
             "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs(n)},
             "elasticity": {f"x{i + 1}": float(v) for i, v in enumerate(r.elasticities)},
-            "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in ordered_pairs(n)},
+            "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in zip(*ordered_pairs(n))},
             "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs(n)},
             "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs(n)},
             "allen_determinant": r.allen_determinant,
         }
-        for r in grid_reports(spec, grid)
+        for r in (geometry_report(spec, p) for p in grid.points())
     ]
     if fmt == "csv":
         lines = [",".join(header)]

@@ -26,7 +26,7 @@ from prodgeo.errors import (
 from prodgeo.expr import Const, Exp, Mul, Pow, Var
 from prodgeo.geometry import curvature_sample
 from prodgeo.jets import jet
-from prodgeo.reports import geometry_report, grid_reports
+from prodgeo.reports import geometry_report, report_table
 
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
 
@@ -328,12 +328,12 @@ def test_geometry_report_is_assembled_from_the_samples(spec):
         (FunctionSpec(3, Pow((Var(0) + Var(2)) * Var(1), 0.5)), SingularAllenDeterminant),
     ],
 )
-def test_grid_reports_raise_the_error_of_a_loop_over_the_points(spec, error):
+def test_report_table_raises_the_error_of_a_loop_over_the_points(spec, error):
     from prodgeo.classifier import default_grid
 
     grid = default_grid(spec.n)
     with pytest.raises(error) as exc:
-        grid_reports(spec, grid)
+        report_table(spec, grid)
     for p in grid.points():
         try:
             geometry_report(spec, p)
@@ -519,7 +519,7 @@ def test_one_point_underflow_gives_what_the_grid_gives():
     for m, p in enumerate(grid.points()):
         assert _bits(hicks_elasticity(jet(spec, p), p, 0, 1)) == _bits(on_grid[m])
     with pytest.raises(SingularAllenDeterminant) as exc:
-        grid_reports(spec, grid)
+        report_table(spec, grid)
     p = exc.value.point
     message = str(exc.value).removesuffix(f" at point {p.coords}")
     for call in (lambda: geometry_report(spec, p), lambda: substitution_sample(jet(spec, p), p)):
@@ -539,7 +539,7 @@ def test_one_point_overflow_raises_what_the_grid_raises():
         geometry_report(spec, (708.92, 1.19))
     grid = SampleGrid(((708.92, 709.0), (1.19, 1.2)), points_per_axis=2, jitter_points=0)
     with pytest.raises(DomainViolation) as exc:
-        grid_reports(spec, grid)
+        report_table(spec, grid)
     p = exc.value.point
     message = str(exc.value).removesuffix(f" at point {p.coords}")
     with pytest.raises(DomainViolation) as at_point:

@@ -18,7 +18,7 @@ from prodgeo.economics import ZERO_MARGINAL_RTOL, hicks_elasticity
 from prodgeo.errors import DomainViolation, ProdGeoError
 from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, eval_expr, variables
 from prodgeo.jets import Jet2, grid_jet, jet, propagate, univariate_jet
-from prodgeo.reports import geometry_report, grid_reports
+from prodgeo.reports import geometry_report, report_table
 
 positive = st.floats(0.2, 2.0)
 signed = st.floats(-1.5, 1.5).filter(lambda v: abs(v) > 0.05)
@@ -160,19 +160,18 @@ def test_estimate_sigma_equals_pointwise_hicks_loop(case):
 
 @settings(max_examples=30, deadline=None)
 @given(specs_and_grids())
-def test_grid_reports_equal_pointwise_reports(case):
+def test_report_table_equals_pointwise_reports(report_cells, case):
     spec, grid = case
     points = grid.points()
     try:
         singles = [geometry_report(spec, p) for p in points]
     except ProdGeoError as e:
         with pytest.raises(type(e)):
-            grid_reports(spec, grid)
+            report_table(spec, grid)
         return
-    for row, one in zip(grid_reports(spec, grid), singles, strict=True):
-        for name in one.__dataclass_fields__:
-            got, want = getattr(row, name), getattr(one, name)
-            assert got == want if name == "point" else _bits(got) == _bits(want)
+    for row, one in zip(report_table(spec, grid), singles, strict=True):
+        assert row[: spec.n].tolist() == list(one.point.coords)
+        assert _bits(row) == _bits(report_cells(one))
 
 
 def _reference_validate(spec, region):

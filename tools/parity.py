@@ -170,7 +170,7 @@ def library_cases():
     from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Var, eval_expr, sum_chain
     from prodgeo.geometry import hessian_determinant
     from prodgeo.jets import grid_jet, univariate_jet
-    from prodgeo.reports import grid_reports
+    from prodgeo.reports import report_table
 
     cases = [
         ("verify_catalog/default", verify_catalog),
@@ -256,7 +256,7 @@ def library_cases():
         ("repro/hicks_underflow_point", lambda: hicks_elasticity(jet(underflow, tiny), tiny, 0, 1)),
         ("repro/substitution_sample_underflow_point", lambda: substitution_sample(jet(underflow, tiny), tiny)),
         ("repro/geometry_report_underflow_point", lambda: geometry_report(underflow, tiny)),
-        ("repro/grid_reports_underflow_grid", lambda: grid_reports(underflow, tiny_grid)),
+        ("repro/report_table_underflow_grid", lambda: report_table(underflow, tiny_grid)),
         ("repro/estimate_sigma_underflow_grid", lambda: estimate_sigma(underflow, tiny_grid)),
         # Support-aware jets: the partial of an unused input is +0.0, and a
         # structural zero is embedded as +0.0 where a dense jet held -0.0.
