@@ -41,7 +41,6 @@ from .expr import (
     Exp,
     Mul,
     Pow,
-    Program,
     Var,
     compiled,
     eval_value,
@@ -112,10 +111,10 @@ class FunctionSpec:
         if self.family not in FAMILIES:
             raise ParameterViolation(f"unknown family {self.family!r}")
         # Compiling rejects a tree deeper than MAX_DEPTH.  Outer and inners
-        # are compiled here only for their support: their programs are
-        # built where they are first evaluated.
+        # are compiled here for their support, and their programs stay on
+        # their trees for the evaluations that follow.
         body = compiled(self.body)
-        parts = [Program(e) for e in (self.outer, *(self.inners or ())) if e is not None]
+        parts = [compiled(e) for e in (self.outer, *(self.inners or ())) if e is not None]
         used = body.support
         if used and used[-1] >= self.n:
             raise ExpressionError(
@@ -283,7 +282,7 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
         raise ArityMismatch("a production function needs at least 2 inputs")
     if not isinstance(outer, Expr):
         raise ExpressionError(f"outer must be an expression, got {outer!r}")
-    outer_vars = Program(outer).support
+    outer_vars = compiled(outer).support
     if len(outer_vars) != 1:
         raise ArityMismatch("outer expression must use exactly one variable")
     if outer_vars != (0,):
@@ -292,7 +291,7 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
     for i, g in enumerate(inners):
         if not isinstance(g, Expr):
             raise ExpressionError(f"inner factor {i} must be an expression, got {g!r}")
-        g_vars = Program(g).support
+        g_vars = compiled(g).support
         if len(g_vars) != 1:
             raise ArityMismatch(f"inner factor {i} must use exactly one variable")
         slotted.append(g if g_vars == (i,) else substitute(g, {g_vars[0]: Var(i)}))

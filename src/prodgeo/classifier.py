@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -503,7 +504,15 @@ def _log_of_exp_sum(weights, rates) -> FunctionSpec:
 
 def catalog_fixtures() -> list[CatalogFixture]:
     """The classified forms and their expected grid verdicts, for two
-    and three inputs each."""
+    and three inputs each: a new list over the fixtures that every call
+    shares."""
+    return list(_fixture_table())
+
+
+@cache
+def _fixture_table() -> tuple[CatalogFixture, ...]:
+    """The fixture table, built on first use and kept for the process.
+    Each fixture's spec keeps its compiled program on its body."""
     fixtures: list[CatalogFixture] = []
 
     def add(name: str, spec: FunctionSpec, *checks: str):
@@ -599,7 +608,16 @@ def catalog_fixtures() -> list[CatalogFixture]:
             build_family("transcendental", {"A": 1.0, "a": (0.5,) * n, "b": (0.0,) * n}),
             "flat",
         )
-    return fixtures
+    return tuple(fixtures)
+
+
+@cache
+def _fixture_coords(n: int, seed: int) -> np.ndarray:
+    """The read-only coordinates of ``default_grid(n, seed)``, built once
+    per process: the fixture table names 26 such grids."""
+    coords = default_grid(n, seed=seed).coords()
+    coords.flags.writeable = False
+    return coords
 
 
 def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
@@ -611,11 +629,12 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     tree gives its own grid jet, and the reductions run per fixture, so
     every result is that of a pass over the fixture alone.  An evaluation
     error is that of the first fixture that fails alone, at its first
-    failing point."""
+    failing point.  The fixtures and their grids are built once per
+    process; every result is computed anew under ``tol``."""
     tol = tol or TolerancePolicy()
     blocks: list[list[tuple[CatalogFixture, np.ndarray]]] = []
     for fx in catalog_fixtures():
-        coords = default_grid(fx.spec.n, seed=fx.seed).coords()
+        coords = _fixture_coords(fx.spec.n, fx.seed)
         block = blocks[-1] if blocks else []
         points = sum(x.shape[1] for _, x in block) + coords.shape[1]
         if block and block[0][0].spec.n == fx.spec.n and points <= _POINT_BLOCK:

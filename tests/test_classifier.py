@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from prodgeo.classifier import (
     SampleGrid,
     TolerancePolicy,
     _curvature_stats,
+    _fixture_coords,
     _verdict,
     catalog_fixtures,
     classify,
@@ -633,6 +637,63 @@ def test_verify_catalog_runs_one_curvature_pass_per_block(monkeypatch):
     monkeypatch.setattr(prodgeo.classifier, "_curvature_stats", counting)
     verify_catalog()
     assert segments == [13, 4, 4, 4, 1]
+
+
+def test_catalog_fixtures_are_new_lists_over_shared_fixtures():
+    first, second = catalog_fixtures(), catalog_fixtures()
+    assert type(first) is type(second) is list and first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_a_change_to_the_returned_fixture_list_reaches_no_later_call():
+    before = repr(verify_catalog())
+    fixtures = catalog_fixtures()
+    count = len(fixtures)
+    fixtures.append(CatalogFixture("extra", build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.6)}), ("flat",), 0))
+    del fixtures[0]
+    assert len(catalog_fixtures()) == count and catalog_fixtures()[0].seed == 0
+    assert repr(verify_catalog()) == before
+
+
+def test_a_second_verify_catalog_compiles_no_program(monkeypatch):
+    import prodgeo.expr
+
+    verify_catalog()
+    built = []
+
+    class Counting(prodgeo.expr.Program):
+        __slots__ = ()
+
+        def __init__(self, e):
+            built.append(e)
+            super().__init__(e)
+
+    monkeypatch.setattr(prodgeo.expr, "Program", Counting)
+    verify_catalog()
+    assert built == []
+    prodgeo.expr.compiled(Var(0) + Const(1.0))
+    assert len(built) == 1  # the counter sees a compile
+
+
+def test_the_fixture_grids_are_read_only_copies_of_the_default_grids():
+    for fx in catalog_fixtures():
+        coords = _fixture_coords(fx.spec.n, fx.seed)
+        assert not coords.flags.writeable
+        assert coords is _fixture_coords(fx.spec.n, fx.seed)
+        expected = default_grid(fx.spec.n, seed=fx.seed).coords()
+        assert coords.shape == expected.shape and coords.tobytes() == expected.tobytes()
+
+
+def test_verify_catalog_after_other_tolerances_equals_a_fresh_process():
+    import prodgeo
+
+    for zero in (1e-20, 1e-3):
+        verify_catalog(TolerancePolicy(zero_abs=zero, zero_rel=zero))
+    here = repr(verify_catalog())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prodgeo.__file__)))
+    code = "from prodgeo.classifier import verify_catalog; print(repr(verify_catalog()))"
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert fresh.stdout == here + "\n"
 
 
 @pytest.mark.parametrize(

@@ -85,16 +85,18 @@ def _copy(e):
 
 def trees():
     """Small trees over N inputs that share subtrees, as one object and as
-    equal copies, hold signed zeros, as siblings too, and powers of every
-    kind, and may fail: in the domain of ln, a real power or a quotient,
-    by overflow, or by reading the input x3 of two; failing leaves make
-    two failing siblings common, so that the order of failures counts."""
+    equal copies, between binary and between unary readers, hold signed
+    zeros, as siblings too, and powers of every kind, and may fail: in
+    the domain of ln, a real power or a quotient, by overflow, or by
+    reading the input x3 of two; failing leaves make two failing siblings
+    common, so that the order of failures counts."""
     variables = st.builds(Var, st.sampled_from([0, 1] * 4 + [N]))
     constants = st.builds(Const, st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)))
     failing = st.sampled_from(
         [Ln(Const(-1.0)), Pow(Const(-2.0), 0.5), Div(Const(1.0), Const(0.0)), Exp(Const(800.0))]
     )
     leaves = st.one_of(variables, variables, constants, constants, failing)
+    unary = st.one_of(st.sampled_from([Neg, Exp, Ln]), st.sampled_from(EXPONENTS).map(lambda c: lambda a: Pow(a, c)))
 
     def extend(t):
         return st.one_of(
@@ -108,6 +110,8 @@ def trees():
             st.builds(lambda e, c: Div(e, Add(Const(c), e)), t, st.floats(0.1, 2.0)),
             st.builds(lambda e, op: op(e, _copy(e)), t, st.sampled_from([Add, Mul, Div])),
             st.builds(lambda e, z: Add(Mul(e, Const(z)), Mul(e, Const(-z))), t, st.sampled_from([0.0, -0.0])),
+            # e read by two unary operations, as one object or equal copies
+            st.builds(lambda e, u, v, copy: Add(u(e), v(_copy(e) if copy else e)), t, unary, unary, st.booleans()),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
@@ -143,6 +147,13 @@ def test_equal_subtrees_run_once_per_jet(monkeypatch):
         j = jet(spec, p)
         assert calls == [0.5]
         assert j.value == walk(spec.body, list(p))
+
+
+def test_a_register_read_by_two_unary_operations_lives_until_the_second():
+    e = Add(Var(0), Const(1.0))
+    for tree in (Add(Exp(e), Ln(e)), Add(Neg(e), Pow(_copy(e), 0.5))):
+        for x in (0.5, 2.0):
+            assert _outcome(eval_expr, tree, [x]) == _outcome(walk, tree, [x])
 
 
 def test_signed_zero_constants_keep_their_registers():

@@ -42,6 +42,13 @@ MUTANTS = [
         ["tests/test_program.py"],
     ),
     (
+        "expr/register_freed_after_its_first_unary_reader",
+        "expr.py",
+        "last[parts[0]] = j\n",
+        "last.setdefault(parts[0], j)\n",
+        ["tests/test_program.py"],
+    ),
+    (
         "expr/children_walked_right_to_left",
         "expr.py",
         "for c in range(count):",
@@ -67,6 +74,21 @@ MUTANTS = [
         "classifier.py",
         "np.maximum.reduceat(per_point, starts)",
         "np.full(len(starts), per_point.max(initial=0.0))",
+        ["tests/test_classifier.py"],
+    ),
+    (
+        "classifier/catalog_fixtures_returns_the_shared_table",
+        "classifier.py",
+        "return list(_fixture_table())",
+        "return _fixture_table()",
+        ["tests/test_classifier.py"],
+    ),
+    (
+        "classifier/fixture_grids_keyed_by_n_alone",
+        "classifier.py",
+        "@cache\ndef _fixture_coords(n: int, seed: int)",
+        "@(lambda f, grids={}: lambda n, seed: grids[n] if n in grids else grids.setdefault(n, f(n, seed)))\n"
+        "def _fixture_coords(n: int, seed: int)",
         ["tests/test_classifier.py"],
     ),
     (
