@@ -52,7 +52,7 @@ from .expr import (
     sum_chain,
 )
 from .jets import _POINT_BLOCK, gradient_norm_sq, propagate, univariate_jet
-from .points import Point, as_point
+from .points import Point, as_point, at_point
 
 __all__ = [
     "FunctionSpec",
@@ -88,6 +88,19 @@ _VALIDATE_POINTS_PER_AXIS = (5, 4, 3, 2)
 MAX_GRID_POINTS = 100_000
 
 
+class _FrozenParams(dict):
+    """A spec's parameter record: a dict, shown and compared as one, whose
+    every write raises TypeError."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a spec's parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle build it whole
+        return _FrozenParams, (dict(self),)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """An n-input positive function as an expression tree.
@@ -106,6 +119,7 @@ class FunctionSpec:
     inners: Optional[tuple[Expr, ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "params", _FrozenParams(self.params))
         if not isinstance(self.n, int) or self.n < 2:
             raise ParameterViolation(f"a production function needs n >= 2 inputs, got {self.n!r}")
         if self.family not in FAMILIES:
@@ -305,15 +319,8 @@ def build_quasi_product(outer: Expr, inners, family: str = "quasi_product") -> F
 def evaluate(spec: FunctionSpec, p) -> float:
     """f(p).  The output must be positive and finite; everything else is
     a DomainViolation."""
-    point = as_point(p)
-    if len(point) != spec.n:
-        raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
-    try:
+    with at_point(p, spec.n) as point:
         return eval_value(spec.body, point.coords)
-    except DomainViolation as e:
-        if e.point is None:
-            e.point = point
-        raise
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Optional
 
@@ -174,8 +174,27 @@ class TolerancePolicy:
 # Verdicts
 # ---------------------------------------------------------------------------
 
+class _Record:
+    """A verdict record: its fields, in declaration order, are its output.
+    A field's JSON key is its name, or its ``json`` metadata if it has one."""
+
+    def to_json_obj(self) -> dict:
+        return {f.metadata.get("json", f.name): _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(v):
+    """A field's value as json.dumps takes it: a Point as its coordinates, a tuple as a list."""
+    if isinstance(v, _Record):
+        return v.to_json_obj()
+    if isinstance(v, Point):
+        return list(v.coords)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
+
+
 @dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(_Record):
     """One predicate checked over the grid.
 
     ``holds`` is true exactly when ``worst_value <= threshold_used``, or
@@ -190,19 +209,9 @@ class PropertyVerdict:
     threshold_used: float
     estimate: Optional[float] = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "worst_point": list(self.worst_point.coords),
-            "worst_value": self.worst_value,
-            "threshold_used": self.threshold_used,
-            "estimate": self.estimate,
-        }
-
 
 @dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(_Record):
     family: str
     n: int
     properties: tuple[PropertyVerdict, ...]
@@ -217,12 +226,7 @@ class ClassificationVerdict:
         return self.property(name).holds
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": self.family,
-            "n": self.n,
-            "properties": [p.to_json_obj() for p in self.properties],
-        }
+        return {"schema_version": SCHEMA_VERSION, **super().to_json_obj()}
 
 
 def _verdict(
@@ -389,10 +393,6 @@ def _substitution_stats(
 # classify
 # ---------------------------------------------------------------------------
 
-#: The curvature verdicts classify reports, in their order of output.
-_CURVATURE_VERDICTS = ("vanishing_gk", "flat", "minimal", "vanishing_sectional")
-
-
 def _constancy_verdict(
     name: str, values: np.ndarray, coords: np.ndarray, tol: TolerancePolicy
 ) -> PropertyVerdict:
@@ -420,7 +420,8 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     coords, ((elasticities, mrs_dev, hicks), curvature) = grid_pass(
         spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol, [0])[0])
     )
-    properties = [_verdict(name, *curvature[name], coords) for name in _CURVATURE_VERDICTS]
+    # Every curvature check but the negative controls, in the order of _curvature_stats.
+    properties = [_verdict(name, *c, coords) for name, c in curvature.items() if not name.startswith("non")]
     properties.append(_verdict("proportional_mrs", *mrs_dev, tol.constancy_rel, coords))
     for i in range(spec.n):
         properties.append(
@@ -451,29 +452,18 @@ class CatalogFixture:
 
 
 @dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(_Record):
     fixture: str
     n: int
     check: str
     passed: bool
     observed: float
     bound: float
-    witness: Point
-
-    def to_json_obj(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "n": self.n,
-            "check": self.check,
-            "passed": self.passed,
-            "observed": self.observed,
-            "bound": self.bound,
-            "witness_point": list(self.witness.coords),
-        }
+    witness: Point = field(metadata={"json": "witness_point"})
 
 
 @dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(_Record):
     results: tuple[ExpectationResult, ...]
 
     @property
@@ -481,11 +471,7 @@ class CatalogReport:
         return all(r.passed for r in self.results)
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "all_passed": self.all_passed,
-            "results": [r.to_json_obj() for r in self.results],
-        }
+        return {"schema_version": SCHEMA_VERSION, "all_passed": self.all_passed, **super().to_json_obj()}
 
 
 def _monomial(c: float) -> Pow:

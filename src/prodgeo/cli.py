@@ -25,11 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
-from .catalog import FunctionSpec, build_family, spec_from_json
+from .catalog import FunctionSpec, Point, build_family, spec_from_json
 from .classifier import (
     ClassificationVerdict,
+    ExpectationResult,
+    PropertyVerdict,
     SampleGrid,
     TolerancePolicy,
     classify,
@@ -183,6 +186,8 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, Point):
+        return ":".join(map(repr, v.coords))
     return str(v)
 
 
@@ -224,15 +229,11 @@ def _render_analyze(spec, table, fmt: str) -> str:
 
 def _render_classify(verdict: ClassificationVerdict, fmt: str) -> str:
     if fmt == "csv":
-        n = verdict.n
-        header = ["property", "holds", "worst_value", "threshold_used", "estimate"]
-        header += [f"worst_x{i + 1}" for i in range(n)]
-        rows = []
-        for p in verdict.properties:
-            rows.append(
-                [p.name, p.holds, p.worst_value, p.threshold_used, p.estimate]
-                + list(p.worst_point.coords)
-            )
+        # The fields of the records in order, the point last as one column per coordinate.
+        names = [f.name for f in fields(next(iter(verdict.properties), PropertyVerdict)) if f.name != "worst_point"]
+        header = ["property" if k == "name" else k for k in names]
+        header += [f"worst_x{i + 1}" for i in range(verdict.n)]
+        rows = [[getattr(p, k) for k in names] + list(p.worst_point.coords) for p in verdict.properties]
         return _csv_lines(header, rows)
     doc = {"command": "classify", **verdict.to_json_obj()}
     return json.dumps(doc, indent=2) + "\n"
@@ -240,12 +241,8 @@ def _render_classify(verdict: ClassificationVerdict, fmt: str) -> str:
 
 def _render_verify(report, fmt: str) -> str:
     if fmt == "csv":
-        header = ["fixture", "n", "check", "passed", "observed", "bound", "witness"]
-        rows = []
-        for r in report.results:
-            witness = ":".join(repr(c) for c in r.witness.coords)
-            rows.append([r.fixture, r.n, r.check, r.passed, r.observed, r.bound, witness])
-        return _csv_lines(header, rows)
+        names = [f.name for f in fields(next(iter(report.results), ExpectationResult))]
+        return _csv_lines(names, [[getattr(r, k) for k in names] for r in report.results])
     doc = {"command": "verify", **report.to_json_obj()}
     return json.dumps(doc, indent=2) + "\n"
 

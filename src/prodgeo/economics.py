@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, DomainViolation, SingularAllenDeterminant, ZeroMarginalProduct
 from .jets import PointValues, SecondOrderJet, _read_only
-from .linalg import det_pivoted, ordered_pairs, pair_matrix, pairs, quadratic_form, symmetric_matrix, triu
-from .points import Point, as_point
+from .linalg import det_pivoted, ordered_pairs, pair_matrix, quadratic_form, symmetric_matrix, triu
+from .points import Point, as_point, at_point
 
 __all__ = [
     "output_elasticity",
@@ -175,7 +175,8 @@ def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
     j.check_index(i, k)
     if i == k:
         raise IndexError("substitution elasticity needs two distinct inputs")
-    return j.unbox(_allen(j, p)[0][pairs(j.n).index((min(i, k), max(i, k)))])
+    rows, cols = triu(j.n, 1)
+    return j.unbox(_allen(j, p)[0][np.flatnonzero((rows == min(i, k)) & (cols == max(i, k)))[0]])
 
 
 def substitution_fields(j: SecondOrderJet, x) -> dict:
@@ -227,5 +228,5 @@ class SubstitutionSample:
 
 
 def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
-    point = as_point(p)
-    return SubstitutionSample(point=point, **_record_matrices(j.n, substitution_fields(j, point)))
+    with at_point(p) as point:
+        return SubstitutionSample(point=point, **_record_matrices(j.n, substitution_fields(j, point)))

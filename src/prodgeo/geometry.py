@@ -37,11 +37,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .catalog import FunctionSpec, as_point
-from .errors import ArityMismatch, DegenerateOuter, DomainViolation, StructureMissing
+from .catalog import FunctionSpec
+from .errors import DegenerateOuter, DomainViolation, StructureMissing
 from .jets import PointValues, SecondOrderJet, _read_only, jet, univariate_jet
-from .linalg import det_pivoted, pairs, quadratic_form, symmetric_matrix
-from .points import Point
+from .linalg import det_pivoted, quadratic_form, symmetric_matrix, triu
+from .points import Point, at_point
 
 __all__ = [
     "slope_w",
@@ -99,7 +99,8 @@ def mean_curvature_of_jet(j: SecondOrderJet) -> PointValues:
 
 
 def mean_curvature(spec: FunctionSpec, p) -> float:
-    return mean_curvature_of_jet(jet(spec, p))
+    with at_point(p) as point:
+        return mean_curvature_of_jet(jet(spec, point))
 
 
 def minimality_residual(j: SecondOrderJet) -> PointValues:
@@ -154,7 +155,8 @@ def canonical_riemann_quads(n: int) -> list[tuple[int, int, int, int]]:
     flatness verdict monitors, and they determine every coordinate-plane
     sectional curvature (same minors, different normalizer).
     """
-    return [(i, j, j, i) for i, j in pairs(n)]
+    i, k = triu(n, 1)
+    return [(a, b, b, a) for a, b in zip(i.tolist(), k.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,15 +178,15 @@ class CurvatureSample:
 
 
 def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
-    point = as_point(p)
-    j = jet(spec, point)
-    n = j.n
-    # The indicators that raise first, before the components that would
-    # overflow at the same point.
-    w, k, mean = slope_w(j), gauss_kronecker(j), mean_curvature_of_jet(j)
-    riemann, sectional = plane_curvatures(j, *np.triu_indices(n, 1))
-    riemann = dict(zip(canonical_riemann_quads(n), riemann.tolist()))
-    riemann.update((q, riemann_component(j, *q)) for q in extra_quads)
+    with at_point(p) as point:
+        j = jet(spec, point)
+        n = j.n
+        # The indicators that raise first, before the components that would
+        # overflow at the same point.
+        w, k, mean = slope_w(j), gauss_kronecker(j), mean_curvature_of_jet(j)
+        riemann, sectional = plane_curvatures(j, *triu(n, 1))
+        riemann = dict(zip(canonical_riemann_quads(n), riemann.tolist()))
+        riemann.update((q, riemann_component(j, *q)) for q in extra_quads)
     return CurvatureSample(
         point=point, w=w, gauss_kronecker=k, mean=mean, sectional=symmetric_matrix(n, sectional), riemann=riemann
     )
@@ -207,40 +209,36 @@ def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:
         raise StructureMissing(
             f"{spec.family} spec carries no outer/inner composition structure"
         )
-    point = as_point(p)
-    if len(point) != spec.n:
-        raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
-    n = spec.n
-    r = np.zeros(n)
-    s = np.zeros(n)
-    u = 1.0
-    for i, g in enumerate(spec.inners):
-        gv, gd, gdd = univariate_jet(g, point[i])
-        if gv <= 0.0:
-            raise DomainViolation(
-                f"inner factor {i + 1} is non-positive ({gv!r}) at {point.coords}", point=point
-            )
-        r[i] = gd / gv
-        s[i] = gdd / gv - r[i] * r[i]
-        u *= gv
-    _, fd1, fd2 = univariate_jet(spec.outer, u)
-    if fd1 == 0.0:
-        raise DegenerateOuter(f"outer derivative vanishes at u={u!r}", point=point)
-    prod_all = 1.0
-    for si in s:
-        prod_all *= si
-    correction = 0.0
-    for jdx in range(n):
-        partial = 1.0
-        for i in range(n):
-            if i != jdx:
-                partial *= s[i]
-        correction += r[jdx] * r[jdx] * partial
-    bracket = float(prod_all + (1.0 + u * fd2 / fd1) * correction)
-    try:
-        slope = (u * fd1) ** n
-    except OverflowError:
-        raise DomainViolation(f"outer slope power overflows: {u * fd1!r} ** {n} at {point.coords}", point=point) from None
-    if np.isinf(det := slope * bracket) and np.isfinite(bracket):
-        raise DomainViolation(f"Hessian determinant overflows: {slope!r} * {bracket!r} at {point.coords}", point=point)
-    return det
+    with at_point(p, spec.n) as point:
+        n = spec.n
+        r = np.zeros(n)
+        s = np.zeros(n)
+        u = 1.0
+        for i, g in enumerate(spec.inners):
+            gv, gd, gdd = univariate_jet(g, point[i])
+            if gv <= 0.0:
+                raise DomainViolation(f"inner factor {i + 1} is non-positive ({gv!r}) at {point.coords}")
+            r[i] = gd / gv
+            s[i] = gdd / gv - r[i] * r[i]
+            u *= gv
+        _, fd1, fd2 = univariate_jet(spec.outer, u)
+        if fd1 == 0.0:
+            raise DegenerateOuter(f"outer derivative vanishes at u={u!r}")
+        prod_all = 1.0
+        for si in s:
+            prod_all *= si
+        correction = 0.0
+        for jdx in range(n):
+            partial = 1.0
+            for i in range(n):
+                if i != jdx:
+                    partial *= s[i]
+            correction += r[jdx] * r[jdx] * partial
+        bracket = float(prod_all + (1.0 + u * fd2 / fd1) * correction)
+        try:
+            slope = (u * fd1) ** n
+        except OverflowError:
+            raise DomainViolation(f"outer slope power overflows: {u * fd1!r} ** {n} at {point.coords}") from None
+        if np.isinf(det := slope * bracket) and np.isfinite(bracket):
+            raise DomainViolation(f"Hessian determinant overflows: {slope!r} * {bracket!r} at {point.coords}")
+        return det

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ArityMismatch, DomainViolation, StencilOutOfDomain
 from .expr import Expr, _exp_scalar, compiled, eval_expr, eval_value
 from .linalg import quadratic_form, triu
-from .points import as_point
+from .points import as_point, at_point
 
 if TYPE_CHECKING:
     from .catalog import FunctionSpec
@@ -355,16 +355,8 @@ def jet(spec: "FunctionSpec", p) -> SecondOrderJet:
     The value component is exactly the result of evaluating at ``p``
     (same arithmetic path); the output must be positive and finite.
     """
-    point = as_point(p)
-    if len(point) != spec.n:
-        raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
-    try:
-        with np.errstate(all="ignore"):
-            return _checked(propagate(spec, point))
-    except DomainViolation as e:
-        if e.point is None:
-            e.point = point
-        raise
+    with at_point(p, spec.n) as point, np.errstate(all="ignore"):
+        return _checked(propagate(spec, point))
 
 
 def grid_jet(spec: "FunctionSpec", coords: np.ndarray, *more: tuple["FunctionSpec", np.ndarray]) -> SecondOrderJet:
@@ -414,9 +406,7 @@ def fd_oracle(spec: "FunctionSpec", p, h: float = 1e-4) -> SecondOrderJet:
     StencilOutOfDomain if any stencil point would leave the positive
     orthant.  Intended for cross-checking only.
     """
-    point = as_point(p)
-    if len(point) != spec.n:
-        raise ArityMismatch(f"point has {len(point)} coordinates, function has {spec.n} inputs")
+    point = as_point(p, spec.n)
     if h <= 0.0:
         raise StencilOutOfDomain(f"step must be positive, got {h!r}")
     x = np.array(point.coords)

@@ -14,9 +14,10 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["det_pivoted", "quadratic_form", "triu", "pairs", "ordered_pairs", "pair_matrix", "symmetric_matrix"]
+__all__ = ["det_pivoted", "quadratic_form", "triu", "ordered_pairs", "pair_matrix", "symmetric_matrix"]
 
 #: ``np.triu_indices(n, k)``, computed once per (n, k); the arrays are shared, never written to.
+#: ``triu(n, 1)`` is the one order of the input pairs i < k: a loop over i, then k.
 triu = cache(np.triu_indices)
 
 
@@ -82,12 +83,6 @@ def quadratic_form(u: np.ndarray, m: np.ndarray | None = None):
     if m is not None:
         left = left @ m
     return (left @ u[:, :, None])[:, 0, 0]
-
-
-def pairs(n: int) -> list[tuple[int, int]]:
-    """The input pairs i < k, in the order of a loop over i, then k, which
-    is also the order of the index arrays ``np.triu_indices(n, 1)``."""
-    return [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
 @cache

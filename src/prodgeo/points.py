@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import DomainViolation
+from .errors import EVALUATION_ERRORS, ArityMismatch, DomainViolation
 
 __all__ = ["Point", "as_point"]
 
@@ -39,8 +41,23 @@ class Point:
         return self.coords[i]
 
 
-def as_point(p) -> Point:
-    """Coerce a Point or any sequence of positive numbers to a Point."""
-    if isinstance(p, Point):
-        return p
-    return Point(tuple(p))
+def as_point(p, n: Optional[int] = None) -> Point:
+    """Coerce a Point or any sequence of positive numbers to a Point, of
+    ``n`` coordinates if given (ArityMismatch otherwise)."""
+    point = p if isinstance(p, Point) else Point(tuple(p))
+    if n is not None and len(point) != n:
+        raise ArityMismatch(f"point has {len(point)} coordinates, function has {n} inputs")
+    return point
+
+
+@contextmanager
+def at_point(p, n: Optional[int] = None):
+    """``as_point(p, n)`` for the block, and the point of an evaluation
+    error raised in the block that names none; its message stays as it is."""
+    point = as_point(p, n)
+    try:
+        yield point
+    except EVALUATION_ERRORS as e:
+        if e.point is None:
+            e.point = point
+        raise

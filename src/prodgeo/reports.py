@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import FunctionSpec, as_point
+from .catalog import FunctionSpec
 from .classifier import SampleGrid, grid_pass
 from .economics import _record_matrices, substitution_fields
 from .geometry import gauss_kronecker, mean_curvature_of_jet, sectional_curvature, slope_w
 from .jets import SecondOrderJet, jet
-from .linalg import ordered_pairs, pairs, triu
-from .points import Point
+from .linalg import ordered_pairs, triu
+from .points import Point, at_point
 
 __all__ = ["GeometryReport", "geometry_report", "report_table", "report_record", "report_header"]
 
@@ -64,8 +64,8 @@ def _fields(j: SecondOrderJet, x) -> dict:
 
 
 def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
-    point = as_point(p)
-    return GeometryReport(point=point, **_record_matrices(spec.n, _fields(jet(spec, point), point)))
+    with at_point(p) as point:
+        return GeometryReport(point=point, **_record_matrices(spec.n, _fields(jet(spec, point), point)))
 
 
 def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
@@ -80,7 +80,7 @@ def report_record(n: int, cells) -> dict:
     """One report as nested in JSON output, holding ``cells`` in the
     order of ``report_header``."""
     it = iter(cells)
-    pair_labels = [f"{i + 1}_{k + 1}" for i, k in pairs(n)]
+    pair_labels = [f"{i + 1}_{k + 1}" for i, k in zip(*triu(n, 1))]
     groups = {
         "sectional": pair_labels,
         "elasticity": [f"x{i + 1}" for i in range(n)],

@@ -1,7 +1,9 @@
 """Family constructors, evaluation contract, validation, JSON form."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from collections import Counter
 
@@ -171,6 +173,60 @@ def test_function_spec_rejects_inconsistent_composition():
             outer=Var(0),
             inners=(Var(0), Var(1)),
         )
+
+
+def test_quasi_product_families_and_outer_variable():
+    outer, inners = Pow(Var(0), 0.5), [Var(0), Var(1)]
+    spec = build_family("quasi_product", {"outer": outer, "inners": inners})
+    assert spec == build_quasi_product(outer, inners) and spec.family == "quasi_product"
+    with pytest.raises(ParameterViolation, match=r"^quasi_product: need parameters 'outer' and 'inners'$"):
+        build_family("quasi_product", {"outer": outer})
+    with pytest.raises(ParameterViolation, match=r"^product: missing parameter 'inners'$"):
+        build_family("product", {})
+    # an outer written in another variable, and inners on other inputs, move onto x1 and their slots
+    moved = build_quasi_product(Pow(Var(3), 0.5), [Var(0), Var(5)])
+    assert moved.body == spec.body and moved.outer == outer and moved.inners == tuple(inners)
+    with pytest.raises(ExpressionError, match=r"^outer must be an expression, got 0\.5$"):
+        build_quasi_product(0.5, inners)
+
+
+def test_function_spec_input_checks():
+    body = Mul(Var(0), Var(1))
+    with pytest.raises(ParameterViolation, match=r"^a production function needs n >= 2 inputs, got 1$"):
+        FunctionSpec(1, Var(0))
+    with pytest.raises(ExpressionError, match=r"^outer and inners must be given together$"):
+        FunctionSpec(2, body, outer=Var(0))
+    with pytest.raises(ArityMismatch, match=r"^1 inner factors for 2 inputs$"):
+        FunctionSpec(2, body, outer=Var(0), inners=(Var(0),))
+    with pytest.raises(ExpressionError, match=r"^inner factor 0 must depend on x1 only$"):
+        FunctionSpec(2, Mul(Var(1), Var(1)), outer=Var(0), inners=(Var(1), Var(1)))
+
+
+def test_spec_params_are_read_only():
+    # The fixture specs are shared by every catalog_fixtures() call of the process.
+    from prodgeo.classifier import verify_catalog
+
+    spec = catalog_fixtures()[2].spec
+    text, report = spec_to_json(spec), verify_catalog()
+    assert repr(spec.params) == "{'A': 1.3, 'k': (0.4, 0.6)}" and spec.params == {"A": 1.3, "k": (0.4, 0.6)}
+    writes = [
+        lambda p: p.__setitem__("A", 99.0),
+        lambda p: p.__delitem__("A"),
+        lambda p: p.update(A=99.0),
+        lambda p: p.setdefault("B", 1.0),
+        lambda p: p.pop("A"),
+        lambda p: p.popitem(),
+        lambda p: p.clear(),
+        lambda p: p.__ior__({"A": 99.0}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(spec.params)
+    assert spec_to_json(catalog_fixtures()[2].spec) == text
+    assert verify_catalog() == report
+    # a copy is built whole, and read-only too
+    for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and type(copied.params) is type(spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +533,7 @@ def test_spec_json_rejects_bad_documents():
         spec_from_json(json.dumps({"family": "custom", "body": ["var", 0]}))
     with pytest.raises(ExpressionError):
         spec_from_json(json.dumps({"n": 2, "family": "custom", "body": ["var", 5]}))
+    with pytest.raises(ExpressionError, match=r"^spec document must be an object, got \[1, 2\]$"):
+        spec_from_json("[1, 2]")
+    with pytest.raises(ExpressionError, match=r"^field 'family' must be a string, got 3$"):
+        spec_from_json(json.dumps({"n": 2, "family": 3, "body": ["var", 0]}))

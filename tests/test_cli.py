@@ -11,7 +11,7 @@ from prodgeo.classifier import SampleGrid, default_grid
 from prodgeo.cli import main
 from prodgeo.errors import ExpressionError
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
-from prodgeo.linalg import ordered_pairs, pairs
+from prodgeo.linalg import ordered_pairs
 from prodgeo.reports import geometry_report, report_header, report_record
 
 
@@ -97,6 +97,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert rc == 2 and err == "error: constancy_rel must be finite, got inf\n"
     rc, _, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6,zzz=3")
     assert rc == 2 and err == "error: cobb_douglas: unknown parameter 'zzz'\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--spec", "spec.json", "--family", "cobb_douglas"], "error: give either --spec or --family, not both"),
+        (["--family", "cobb_douglas", "--params", "A=1,k"], "error: malformed parameter 'k', expected name=value"),
+        (["--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "0.5-2"], "error: malformed box axis"),
+        (["--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--box", "a:b"], "error: non-numeric box bounds"),
+    ],
+)
+def test_malformed_flags_exit_2(capsys, flags, message):
+    rc, out, err = run(capsys, "classify", *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_grid_flags_apply_where_the_default_grid_exceeds_the_cap(capsys):
@@ -215,11 +230,12 @@ def _per_row_analyze(spec, grid, fmt):
     """``analyze`` output built one report at a time: a dict per report
     and json.dumps, or a row of repr cells per report."""
     n = spec.n
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
     header = [f"x{i + 1}" for i in range(n)] + ["f", "w", "gauss_kronecker", "mean_curvature"]
-    header += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs(n)]
+    header += [f"sectional_{i + 1}_{k + 1}" for i, k in pairs]
     header += [f"elasticity_x{i + 1}" for i in range(n)]
     header += [f"mrs_{i + 1}_{k + 1}" for i, k in zip(*ordered_pairs(n))]
-    header += [f"{name}_{i + 1}_{k + 1}" for name in ("hicks", "allen") for i, k in pairs(n)]
+    header += [f"{name}_{i + 1}_{k + 1}" for name in ("hicks", "allen") for i, k in pairs]
     header += ["allen_determinant"]
     records = [
         {
@@ -228,11 +244,11 @@ def _per_row_analyze(spec, grid, fmt):
             "w": r.slope,
             "gauss_kronecker": r.gauss_kronecker,
             "mean_curvature": r.mean_curvature,
-            "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs(n)},
+            "sectional": {f"{i + 1}_{k + 1}": float(r.sectional[i, k]) for i, k in pairs},
             "elasticity": {f"x{i + 1}": float(v) for i, v in enumerate(r.elasticities)},
             "mrs": {f"{i + 1}_{k + 1}": float(r.mrs[i, k]) for i, k in zip(*ordered_pairs(n))},
-            "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs(n)},
-            "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs(n)},
+            "hicks": {f"{i + 1}_{k + 1}": float(r.hicks[i, k]) for i, k in pairs},
+            "allen": {f"{i + 1}_{k + 1}": float(r.allen[i, k]) for i, k in pairs},
             "allen_determinant": r.allen_determinant,
         }
         for r in (geometry_report(spec, p) for p in grid.points())
@@ -456,6 +472,103 @@ def test_verify_json_csv_consistency(capsys):
         assert cells[0] == res["fixture"]
         assert cells[3] == ("true" if res["passed"] else "false")
         assert cells[4] == repr(res["observed"])
+
+
+def _csv_cell(v) -> str:
+    return "" if v is None else str(v).lower() if isinstance(v, bool) else repr(v) if isinstance(v, float) else str(v)
+
+
+def test_classify_and_verify_output_layout(capsys):
+    # The documents and rows built from the records by hand: the key and column order of the formats.
+    from prodgeo.classifier import classify, verify_catalog
+
+    verdict = classify(build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6)}), default_grid(2))
+    properties = [
+        {
+            "name": p.name,
+            "holds": p.holds,
+            "worst_point": list(p.worst_point.coords),
+            "worst_value": p.worst_value,
+            "threshold_used": p.threshold_used,
+            "estimate": p.estimate,
+        }
+        for p in verdict.properties
+    ]
+    doc = {"command": "classify", "schema_version": "1", "family": "cobb_douglas", "n": 2, "properties": properties}
+    lines = ["property,holds,worst_value,threshold_used,estimate,worst_x1,worst_x2"]
+    for p in verdict.properties:
+        cells = [p.name, p.holds, p.worst_value, p.threshold_used, p.estimate, *p.worst_point.coords]
+        lines.append(",".join(map(_csv_cell, cells)))
+    args = ["classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6"]
+    assert run(capsys, *args) == (0, json.dumps(doc, indent=2) + "\n", "")
+    assert run(capsys, *args, "--format", "csv") == (0, "\n".join(lines) + "\n", "")
+
+    report = verify_catalog()
+    results = [
+        {
+            "fixture": r.fixture,
+            "n": r.n,
+            "check": r.check,
+            "passed": r.passed,
+            "observed": r.observed,
+            "bound": r.bound,
+            "witness_point": list(r.witness.coords),
+        }
+        for r in report.results
+    ]
+    doc = {"command": "verify", "schema_version": "1", "all_passed": True, "results": results}
+    lines = ["fixture,n,check,passed,observed,bound,witness"]
+    for r in report.results:
+        witness = ":".join(map(repr, r.witness.coords))
+        lines.append(",".join(map(_csv_cell, [r.fixture, r.n, r.check, r.passed, r.observed, r.bound])) + "," + witness)
+    assert run(capsys, "verify") == (0, json.dumps(doc, indent=2) + "\n", "")
+    assert run(capsys, "verify", "--format", "csv") == (0, "\n".join(lines) + "\n", "")
+
+
+def test_a_field_declared_on_a_verdict_record_reaches_every_writer():
+    from dataclasses import dataclass
+
+    from prodgeo.classifier import CatalogReport, ClassificationVerdict, ExpectationResult, PropertyVerdict
+    from prodgeo.cli import _render_classify, _render_verify
+    from prodgeo.points import Point
+
+    @dataclass(frozen=True)
+    class MarginVerdict(PropertyVerdict):
+        margin: float = 0.0
+
+    @dataclass(frozen=True)
+    class SourcedResult(ExpectationResult):
+        noise_source: str = ""
+
+    point = Point((0.5, 2.0))
+    verdict = ClassificationVerdict("custom", 2, (MarginVerdict("flat", True, point, 0.0, 1e-09, None, 0.25),))
+    obj = verdict.to_json_obj()["properties"][0]
+    assert list(obj) == ["name", "holds", "worst_point", "worst_value", "threshold_used", "estimate", "margin"]
+    assert obj["worst_point"] == [0.5, 2.0] and obj["margin"] == 0.25
+    assert json.loads(_render_classify(verdict, "json"))["properties"][0] == obj
+    assert _render_classify(verdict, "csv") == (
+        "property,holds,worst_value,threshold_used,estimate,margin,worst_x1,worst_x2\n"
+        "flat,true,0.0,1e-09,,0.25,0.5,2.0\n"
+    )
+
+    report = CatalogReport((SourcedResult("fx", 2, "flat", True, 0.0, 1e-09, point, "hessian"),))
+    obj = report.to_json_obj()
+    assert list(obj) == ["schema_version", "all_passed", "results"]
+    assert list(obj["results"][0].items()) == [
+        ("fixture", "fx"),
+        ("n", 2),
+        ("check", "flat"),
+        ("passed", True),
+        ("observed", 0.0),
+        ("bound", 1e-09),
+        ("witness_point", [0.5, 2.0]),
+        ("noise_source", "hessian"),
+    ]
+    assert json.loads(_render_verify(report, "json"))["results"] == obj["results"]
+    assert _render_verify(report, "csv") == (
+        "fixture,n,check,passed,observed,bound,witness,noise_source\n"
+        "fx,2,flat,true,0.0,1e-09,0.5:2.0,hessian\n"
+    )
 
 
 @pytest.mark.parametrize("scale", ["1e-13", "1e-9", "1e13"])

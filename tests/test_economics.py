@@ -340,7 +340,7 @@ def test_report_table_raises_the_error_of_a_loop_over_the_points(spec, error):
         except ProdGeoError as e:
             direct = e
             break
-    assert type(direct) is error and exc.value.point == p
+    assert type(direct) is error and exc.value.point == direct.point == p
     assert str(exc.value) == f"{direct} at point {p.coords}"
 
 
@@ -525,7 +525,7 @@ def test_one_point_underflow_gives_what_the_grid_gives():
     for call in (lambda: geometry_report(spec, p), lambda: substitution_sample(jet(spec, p), p)):
         with pytest.raises(SingularAllenDeterminant) as at_point:
             call()
-        assert str(at_point.value) == message
+        assert str(at_point.value) == message and at_point.value.point == p
 
 
 def test_one_point_overflow_raises_what_the_grid_raises():
@@ -533,10 +533,14 @@ def test_one_point_overflow_raises_what_the_grid_raises():
     # |grad f|^2 overflows in the marginal product check
     from prodgeo.classifier import SampleGrid
     from prodgeo.expr import Add
+    from prodgeo.geometry import mean_curvature
 
     spec = FunctionSpec(2, Add(Exp(Var(0)), Var(1)))
-    with pytest.raises(DomainViolation, match=r"^\|grad f\|\^2 overflows"):
-        geometry_report(spec, (708.92, 1.19))
+    # each per-point call names its point
+    for call in (geometry_report, curvature_sample, mean_curvature):
+        with pytest.raises(DomainViolation, match=r"^\|grad f\|\^2 overflows") as exc:
+            call(spec, (708.92, 1.19))
+        assert exc.value.point.coords == (708.92, 1.19)
     grid = SampleGrid(((708.92, 709.0), (1.19, 1.2)), points_per_axis=2, jitter_points=0)
     with pytest.raises(DomainViolation) as exc:
         report_table(spec, grid)
@@ -544,4 +548,4 @@ def test_one_point_overflow_raises_what_the_grid_raises():
     message = str(exc.value).removesuffix(f" at point {p.coords}")
     with pytest.raises(DomainViolation) as at_point:
         geometry_report(spec, p)
-    assert type(at_point.value) is type(exc.value) and str(at_point.value) == message
+    assert type(at_point.value) is type(exc.value) and str(at_point.value) == message and at_point.value.point == p

@@ -28,7 +28,7 @@ from prodgeo.geometry import (
     slope_w,
 )
 from prodgeo.jets import jet
-from prodgeo.linalg import det_pivoted, pairs
+from prodgeo.linalg import det_pivoted
 
 PARABOLOID = FunctionSpec(2, Pow(Var(0), 2.0) + Pow(Var(1), 2.0))
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
@@ -162,6 +162,8 @@ def test_riemann_antisymmetry_is_exact():
 def test_canonical_quads():
     assert canonical_riemann_quads(2) == [(0, 1, 1, 0)]
     assert canonical_riemann_quads(3) == [(0, 1, 1, 0), (0, 2, 2, 0), (1, 2, 2, 1)]
+    # Python ints: they key curvature_sample's riemann dict and show in its repr
+    assert {type(i) for q in canonical_riemann_quads(3) for i in q} == {int}
 
 
 def test_two_input_degeneracy():
@@ -253,8 +255,20 @@ def test_quasi_product_det_degenerate_outer():
     # F(u) = (u - 2)^2 has F'(2) = 0; inners u = x1 x2 hit u = 2 at (1, 2)
     outer = Pow(Add(Var(0), Const(-2.0)), 2.0)
     spec = build_quasi_product(outer, [Var(0), Var(0)])
-    with pytest.raises(DegenerateOuter):
+    with pytest.raises(DegenerateOuter, match=r"^outer derivative vanishes at u=2\.0$") as exc:
         quasi_product_hessian_det(spec, (1.0, 2.0))
+    assert exc.value.point.coords == (1.0, 2.0)
+
+
+def test_quasi_product_det_names_the_point_of_an_inner_failure():
+    # (1.2 - x1)^0.5 is not real at x1 = 1.5; jet and evaluate name the point too
+    from prodgeo.catalog import evaluate
+
+    spec = build_quasi_product(Pow(Var(0), 0.5), [Pow(Const(1.2) - Var(0), 0.5), Var(0)])
+    for call in (quasi_product_hessian_det, jet, evaluate):
+        with pytest.raises(DomainViolation, match=r"^real power of non-positive base") as exc:
+            call(spec, (1.5, 1.0))
+        assert exc.value.point.coords == (1.5, 1.0)
 
 
 def test_quasi_product_det_overflow_is_a_domain_violation():
@@ -484,7 +498,8 @@ def test_pairwise_indicators_of_index_arrays_equal_each_pair_bitwise(on_grid):
     n = ACMS_4IN.n
     j = grid_jet(ACMS_4IN, default_grid(n, seed=2).coords()) if on_grid else jet(ACMS_4IN, (0.7, 1.3, 0.9, 1.8))
     i, k = np.triu_indices(n, 1)
-    assert list(zip(i.tolist(), k.tolist())) == pairs(n)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    assert list(zip(i.tolist(), k.tolist())) == pairs
     # reversed pairs and repeats are index arrays too
     for a, b in [(i, k), (k, i), (np.array([2, 0, 2]), np.array([3, 3, 3]))]:
         each_s = [sectional_curvature(j, x, y) for x, y in zip(a.tolist(), b.tolist())]
@@ -493,7 +508,7 @@ def test_pairwise_indicators_of_index_arrays_equal_each_pair_bitwise(on_grid):
         assert _bits(riemann_component(j, a, b, b, a)) == _bits(each_r)
         r, s = plane_curvatures(j, a, b)
         assert (_bits(r), _bits(s)) == (_bits(each_r), _bits(each_s))
-    assert _bits(riemann_component(j, i, k, i, k)) == _bits([riemann_component(j, x, y, x, y) for x, y in pairs(n)])
+    assert _bits(riemann_component(j, i, k, i, k)) == _bits([riemann_component(j, x, y, x, y) for x, y in pairs])
 
 
 def test_pairwise_indicators_reject_bad_index_arrays():

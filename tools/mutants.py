@@ -92,6 +92,30 @@ MUTANTS = [
         ["tests/test_classifier.py"],
     ),
     (
+        "classifier/point_field_written_as_its_object",
+        "classifier.py",
+        "        return list(v.coords)",
+        '        return {"coords": list(v.coords)}',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "cli/classify_point_columns_before_holds",
+        "cli.py",
+        '        header = ["property" if k == "name" else k for k in names]\n'
+        '        header += [f"worst_x{i + 1}" for i in range(verdict.n)]\n'
+        "        rows = [[getattr(p, k) for k in names] + list(p.worst_point.coords) for p in verdict.properties]",
+        '        header = ["property", *(f"worst_x{i + 1}" for i in range(verdict.n)), *names[1:]]\n'
+        "        rows = [[p.name, *p.worst_point.coords, *(getattr(p, k) for k in names[1:])] for p in verdict.properties]",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "reports/geometry_report_without_the_point_helper",
+        "reports.py",
+        "    with at_point(p) as point:\n        return GeometryReport(",
+        "    for point in [Point(tuple(p))]:\n        return GeometryReport(",
+        ["tests/test_economics.py"],
+    ),
+    (
         "catalog/validate_mesh_in_fortran_order",
         "catalog.py",
         "(count,) * spec.n)",
