@@ -101,16 +101,7 @@ class SampleGrid:
                 raise ParameterViolation(f"grid bound {lo!r} is below the smallest normal float")
             if not lo * (1.0 + sys.float_info.epsilon) < hi:
                 raise ParameterViolation(f"grid axis {(lo, hi)!r} is too narrow to sample")
-        for name, least in (("points_per_axis", 2), ("seed", 0), ("jitter_points", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ParameterViolation(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ParameterViolation(f"{name} must be at least {least}")
-        # coords() allocates the whole grid at once.
-        size = int(self.points_per_axis) ** self.n + int(self.jitter_points)
-        if size > MAX_GRID_POINTS:
-            raise ParameterViolation(f"grid has {size} points, more than the cap of {MAX_GRID_POINTS}")
+        _check_counts(self.n, self.points_per_axis, self.seed, self.jitter_points)
 
     @property
     def n(self) -> int:
@@ -137,16 +128,34 @@ class SampleGrid:
         return [Point(c) for c in self.coords().T.tolist()]
 
 
+def _check_counts(n: int, points_per_axis, seed, jitter_points) -> None:
+    """Check the integer fields of a SampleGrid of ``n`` axes, and its size
+    against MAX_GRID_POINTS, in time independent of ``n``."""
+    for name, value, least in (("points_per_axis", points_per_axis, 2), ("seed", seed, 0), ("jitter_points", jitter_points, 0)):
+        if not isinstance(value, (int, np.integer)):
+            raise ParameterViolation(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ParameterViolation(f"{name} must be at least {least}")
+    # coords() allocates the whole grid at once.  With k >= 2, k ** n has at
+    # least half of n * k.bit_length() bits, so a size past 10,000 bits is
+    # far past the cap, and too long to compute or print.
+    k, jitter = int(points_per_axis), int(jitter_points)
+    if n * k.bit_length() > 10_000 or jitter.bit_length() > 10_000:
+        raise ParameterViolation(f"grid has over 10^1500 points, more than the cap of {MAX_GRID_POINTS}")
+    size = k ** n + jitter
+    if size > MAX_GRID_POINTS:
+        raise ParameterViolation(f"grid has {size} points, more than the cap of {MAX_GRID_POINTS}")
+
+
 def default_grid(n: int, seed: int = 0, box=None, points_per_axis: Optional[int] = None) -> SampleGrid:
     """The default verification grid: box [0.5, 2]^n, 7 points per axis
     up to three inputs and 4 beyond, 32 jitter points; a ``box`` or
     ``points_per_axis`` given replaces its default.  Stays away from the
-    origin, where logarithmic forms change sign."""
-    return SampleGrid(
-        box=box if box is not None else ((0.5, 2.0),) * n,
-        points_per_axis=points_per_axis if points_per_axis is not None else 7 if n <= 3 else 4,
-        seed=seed,
-    )
+    origin, where logarithmic forms change sign.  The grid's size is
+    checked before any box of ``n`` axes is built."""
+    k = points_per_axis if points_per_axis is not None else 7 if n <= 3 else 4
+    _check_counts(n, k, seed, SampleGrid.jitter_points)
+    return SampleGrid(box=box if box is not None else ((0.5, 2.0),) * n, points_per_axis=k, seed=seed)
 
 
 @dataclass(frozen=True)

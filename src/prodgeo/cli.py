@@ -13,7 +13,8 @@ Functions come either from a JSON spec document (``--spec path`` or
 (``--family cobb_douglas --params A=1,k=0.4:0.6``).
 
 Exit codes: 0 success / all expectations pass; 1 verification failures;
-2 input errors; 3 domain errors during evaluation.
+2 input errors (``errors.InputError``); 3 evaluation errors
+(``errors.EvaluationError``).
 
 Output is deterministic: the same invocation produces byte-identical
 bytes, and CSV and JSON render every number identically (shortest
@@ -25,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional
 
 from .catalog import FunctionSpec, Point, build_family, spec_from_json
@@ -39,7 +40,7 @@ from .classifier import (
     default_grid,
     verify_catalog,
 )
-from .errors import EVALUATION_ERRORS, INPUT_ERRORS
+from .errors import EvaluationError, InputError
 from .reports import report_header, report_record, report_table
 
 __all__ = ["main"]
@@ -50,10 +51,6 @@ _FAMILY_ALIASES = {
     "spillman-mitscherlich": "spillman_mitscherlich",
     "armington": "acms",
 }
-
-
-class _InputError(Exception):
-    """CLI-level input problem (maps to exit code 2)."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,7 +110,7 @@ def _parse_params(text: str) -> dict:
         if not item:
             continue
         if "=" not in item:
-            raise _InputError(f"malformed parameter {item!r}, expected name=value")
+            raise InputError(f"malformed parameter {item!r}, expected name=value")
         key, _, raw = item.partition("=")
         key = key.strip()
         parts = raw.split(":")
@@ -123,13 +120,13 @@ def _parse_params(text: str) -> dict:
             else:
                 params[key] = tuple(float(v) for v in parts)
         except ValueError:
-            raise _InputError(f"parameter {key!r} has a non-numeric value {raw!r}") from None
+            raise InputError(f"parameter {key!r} has a non-numeric value {raw!r}") from None
     return params
 
 
 def _load_spec(args) -> FunctionSpec:
     if args.spec and args.family:
-        raise _InputError("give either --spec or --family, not both")
+        raise InputError("give either --spec or --family, not both")
     if args.spec:
         try:
             if args.spec == "-":
@@ -139,13 +136,13 @@ def _load_spec(args) -> FunctionSpec:
                     text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             source = "standard input" if args.spec == "-" else "spec file"
-            raise _InputError(f"cannot read {source}: {e}") from None
+            raise InputError(f"cannot read {source}: {e}") from None
         return spec_from_json(text)
     if args.family:
         family = _FAMILY_ALIASES.get(args.family, args.family).replace("-", "_")
         params = _parse_params(args.params) if args.params else {}
         return build_family(family, params)
-    raise _InputError("a function is required: give --spec or --family")
+    raise InputError("a function is required: give --spec or --family")
 
 
 def _parse_box(text: str, n: int) -> tuple[tuple[float, float], ...]:
@@ -153,21 +150,22 @@ def _parse_box(text: str, n: int) -> tuple[tuple[float, float], ...]:
     for part in text.split(","):
         lo, sep, hi = part.partition(":")
         if not sep:
-            raise _InputError(f"malformed box axis {part!r}, expected lo:hi")
+            raise InputError(f"malformed box axis {part!r}, expected lo:hi")
         try:
             pairs.append((float(lo), float(hi)))
         except ValueError:
-            raise _InputError(f"non-numeric box bounds {part!r}") from None
+            raise InputError(f"non-numeric box bounds {part!r}") from None
     if len(pairs) == 1:
         pairs = pairs * n
     if len(pairs) != n:
-        raise _InputError(f"box has {len(pairs)} axes, function has {n} inputs")
+        raise InputError(f"box has {len(pairs)} axes, function has {n} inputs")
     return tuple(pairs)
 
 
 def _make_grid(args, n: int) -> SampleGrid:
-    box = _parse_box(args.box, n) if args.box else None
-    return default_grid(n, seed=args.seed, box=box, points_per_axis=args.points_per_axis)
+    # default_grid checks the grid's size before a box of n axes is built.
+    grid = default_grid(n, seed=args.seed, points_per_axis=args.points_per_axis)
+    return replace(grid, box=_parse_box(args.box, n)) if args.box else grid
 
 
 def _make_tolerances(args) -> TolerancePolicy:
@@ -206,7 +204,7 @@ def _write(text: str, out: Optional[str]):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise _InputError(f"cannot write output: {e}") from None
+        raise InputError(f"cannot write output: {e}") from None
 
 
 def _render_analyze(spec, table, fmt: str) -> str:
@@ -278,10 +276,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     handlers = {"analyze": _cmd_analyze, "classify": _cmd_classify, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except (_InputError, *INPUT_ERRORS) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except EVALUATION_ERRORS as e:
+    except EvaluationError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return 3
 

@@ -1,8 +1,10 @@
 """Semantic exception hierarchy.
 
-Every error raised by the library derives from ProdGeoError.  Errors that
-arise while evaluating at a concrete point carry the offending point in
-the ``point`` attribute when it is known.
+Every error raised by the library derives from ProdGeoError, through one
+of two bases: InputError for malformed input (exit code 2 of the command
+line) and EvaluationError for an evaluation that failed (exit code 3).
+Errors that arise while evaluating at a concrete point carry the
+offending point in the ``point`` attribute when it is known.
 """
 
 from __future__ import annotations
@@ -16,63 +18,57 @@ class ProdGeoError(Exception):
         self.point = point
 
 
-class ExpressionError(ProdGeoError):
+class InputError(ProdGeoError):
+    """Malformed input: a spec, parameter, flag or file that cannot be used."""
+
+
+class EvaluationError(ProdGeoError):
+    """An evaluation at concrete points failed."""
+
+
+class ExpressionError(InputError):
     """Malformed expression tree or unparseable serialized form."""
 
 
-class ParameterViolation(ProdGeoError):
+class ParameterViolation(InputError):
     """A family parameter or configuration record violates its constraints."""
 
 
-class ArityMismatch(ProdGeoError):
+class ArityMismatch(InputError):
     """Wrong number of variables, inputs or coordinates."""
 
 
-class EmptyInnerList(ProdGeoError):
+class EmptyInnerList(InputError):
     """A composite function was requested with no inner factors."""
 
 
-class DomainViolation(ProdGeoError):
+class DomainViolation(EvaluationError):
     """Evaluation left the valid domain (non-positive argument to ln or a
     real power, division by zero, overflow, or non-positive output)."""
 
 
-class StencilOutOfDomain(ProdGeoError):
+class StencilOutOfDomain(EvaluationError):
     """A finite-difference stencil would leave the positive orthant."""
 
 
-class StructureMissing(ProdGeoError):
+class StructureMissing(EvaluationError):
     """An operation required outer/inner structure the spec does not carry."""
 
 
-class DegenerateOuter(ProdGeoError):
+class DegenerateOuter(EvaluationError):
     """The outer function has zero derivative at the evaluated argument."""
 
 
-class ZeroMarginalProduct(ProdGeoError):
+class ZeroMarginalProduct(EvaluationError):
     """A first partial derivative is numerically zero where a ratio of
     marginal products is required."""
 
 
-class DegenerateDenominator(ProdGeoError):
+class DegenerateDenominator(EvaluationError):
     """The substitution-elasticity denominator is numerically zero
     (perfect substitutes)."""
 
 
-class SingularAllenDeterminant(ProdGeoError):
+class SingularAllenDeterminant(EvaluationError):
     """The bordered determinant is numerically zero."""
 
-
-#: Errors that indicate malformed input rather than a failed evaluation.
-INPUT_ERRORS = (ExpressionError, ParameterViolation, ArityMismatch, EmptyInnerList)
-
-#: Errors raised while evaluating at concrete points.
-EVALUATION_ERRORS = (
-    DomainViolation,
-    StencilOutOfDomain,
-    StructureMissing,
-    DegenerateOuter,
-    ZeroMarginalProduct,
-    DegenerateDenominator,
-    SingularAllenDeterminant,
-)

@@ -52,7 +52,6 @@ __all__ = [
     "product_chain",
     "sum_chain",
     "variables",
-    "check_depth",
     "substitute",
     "Program",
     "compiled",
@@ -70,7 +69,7 @@ _MAX_REPEATED_POW = 512
 #: The deepest tree accepted, in nodes on a path from the root.  Walks over
 #: a tree recurse once per level, and comparing trees about three times,
 #: so this keeps every walk far below Python's recursion limit of 1,000.
-#: Compiling a deeper tree raises ExpressionError.
+#: Compiling a deeper tree, or decoding a deeper array, raises ExpressionError.
 MAX_DEPTH = 200
 
 
@@ -220,20 +219,6 @@ def sum_chain(terms) -> Expr:
     for t in terms[1:]:
         acc = Add(acc, t)
     return acc
-
-
-def check_depth(tree) -> None:
-    """Raise ExpressionError if ``tree``, an Expr or its nested-array form,
-    has more than MAX_DEPTH nodes on a path from the root.  Walks level by
-    level, without recursion, visiting a shared subtree once per level."""
-    nodes = (Expr, list, tuple)
-    level = [tree] if isinstance(tree, nodes) else []
-    for _ in range(MAX_DEPTH):
-        children = (vars(x).values() if isinstance(x, Expr) else x[1:] for x in level)
-        level = list({id(c): c for cs in children for c in cs if isinstance(c, nodes)}.values())
-        if not level:
-            return
-    raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
 
 
 def _split(e: Expr) -> tuple[str, tuple, tuple]:
@@ -476,9 +461,9 @@ def expr_to_obj(e: Expr):
 
 
 def expr_from_obj(obj) -> Expr:
-    """Decode a nested prefix array produced by :func:`expr_to_obj`."""
-    check_depth(obj)
-    return _decode(obj)
+    """Decode a nested prefix array produced by :func:`expr_to_obj`; an
+    array nested deeper than MAX_DEPTH raises ExpressionError."""
+    return _decode(obj, 1)
 
 
 def is_number(x, kinds=(int, float)) -> bool:
@@ -487,7 +472,9 @@ def is_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
-def _decode(obj) -> Expr:
+def _decode(obj, depth: int) -> Expr:
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ExpressionError(f"expression node must be a non-empty array, got {obj!r}")
     tag, *args = obj
@@ -503,4 +490,4 @@ def _decode(obj) -> Expr:
         raise ExpressionError(f"var payload must be an int, got {args[0]!r}")
     if node is Pow and not is_number(args[1]):
         raise ExpressionError(f"pow exponent must be a number, got {args[1]!r}")
-    return node(*map(_decode, args[:count]), *args[count:])
+    return node(*map(_decode, args[:count], repeat(depth + 1)), *args[count:])

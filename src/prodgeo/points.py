@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EVALUATION_ERRORS, ArityMismatch, DomainViolation
+from .errors import ArityMismatch, DomainViolation, EvaluationError
 
 __all__ = ["Point", "as_point"]
 
@@ -57,7 +57,7 @@ def at_point(p, n: Optional[int] = None):
     point = as_point(p, n)
     try:
         yield point
-    except EVALUATION_ERRORS as e:
+    except EvaluationError as e:
         if e.point is None:
             e.point = point
         raise

@@ -160,6 +160,18 @@ def test_grid_size_is_capped():
         SampleGrid(box=((0.5, 2.0),) * 2, points_per_axis=316, jitter_points=100_001 - 316**2)
 
 
+def test_grid_size_is_checked_before_a_box_is_built():
+    # 4^100,000 is too long to print and 4^(10^21) too large to compute, or
+    # to hold as a box: default_grid rejects both from n alone.
+    for n in (100_000, 10**21):
+        with pytest.raises(ParameterViolation, match=r"^grid has over 10\^1500 points, more than the cap of 100000$"):
+            default_grid(n)
+    # Nor is a size of more than 10,000 bits printed in any field.
+    for counts in ({"points_per_axis": 2**10_000}, {"jitter_points": 2**10_000}):
+        with pytest.raises(ParameterViolation, match=r"over 10\^1500"):
+            SampleGrid(box=((0.5, 2.0),), **counts)
+
+
 @pytest.mark.parametrize("name", ["zero_abs", "zero_rel", "constancy_rel"])
 @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf, math.nan, math.inf])
 def test_tolerances_must_be_positive_and_finite(name, value):

@@ -9,7 +9,7 @@ import pytest
 from prodgeo.catalog import build_family, build_quasi_product, spec_to_json
 from prodgeo.classifier import SampleGrid, default_grid
 from prodgeo.cli import main
-from prodgeo.errors import ExpressionError
+from prodgeo.errors import EvaluationError, ExpressionError, InputError, ProdGeoError
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
 from prodgeo.linalg import ordered_pairs
 from prodgeo.reports import geometry_report, report_header, report_record
@@ -122,6 +122,26 @@ def test_grid_flags_apply_where_the_default_grid_exceeds_the_cap(capsys):
     assert rc == 2 and err == "error: grid has 262176 points, more than the cap of 100000\n"
     rc, out, err = run(capsys, "classify", "--family", "cobb_douglas", "--params", params, "--points-per-axis", "2")
     assert (rc, err) == (0, "") and json.loads(out)["n"] == 9
+
+
+@pytest.mark.parametrize(
+    "n, size",
+    [(17, "17179869216"), (100_000, "over 10^1500"), (10**21, "over 10^1500")],
+    ids=["17", "100000", "1e21"],
+)
+@pytest.mark.parametrize("box", [[], ["--box", "0.5:2"]], ids=["default_box", "box"])
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_huge_n_is_rejected_before_a_box_is_built(capsys, monkeypatch, command, box, n, size):
+    # A size too long to print is not printed, and no box of n axes is built
+    # or broadcast before the size is checked.
+    import io
+    import time
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": n, "family": "custom", "body": ["var", 0]})))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, command, "--spec", "-", *box)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", f"error: grid has {size} points, more than the cap of 100000\n")
 
 
 @pytest.mark.parametrize(
@@ -637,12 +657,46 @@ def test_too_deep_spec_document_exits_2(capsys, monkeypatch, text, message):
 def test_spec_document_at_the_depth_bound(capsys, monkeypatch, doc, command):
     import io
 
-    from prodgeo.expr import check_depth
+    from prodgeo.expr import expr_from_obj
 
     # the body is exactly at the bound: one more level is rejected
-    check_depth(doc["body"])
+    expr_from_obj(doc["body"])
     with pytest.raises(ExpressionError):
-        check_depth(["neg", doc["body"]])
+        expr_from_obj(["neg", doc["body"]])
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     rc, out, err = run(capsys, command, "--spec", "-", "--points-per-axis", "2")
     assert (rc, err) == (0, "")
+
+
+def _error_classes():
+    """Every class of prodgeo under ProdGeoError, found by a recursive walk,
+    but for the two bases."""
+    found, stack = [], [ProdGeoError]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("prodgeo.") and cls not in (InputError, EvaluationError):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_the_error_walk_reaches_every_class():
+    names = {cls.__name__ for cls in _error_classes()}
+    assert {"ExpressionError", "EmptyInnerList", "DomainViolation", "SingularAllenDeterminant"} <= names
+    assert len(names) >= 11
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_each_error_class_has_one_exit_code(capsys, monkeypatch, cls):
+    # Exactly one of the two bases, and main maps it to its exit code.
+    assert issubclass(cls, InputError) != issubclass(cls, EvaluationError)
+
+    def handler(args):
+        raise cls("no such thing")
+
+    monkeypatch.setattr("prodgeo.cli._cmd_verify", handler)
+    rc, out, err = run(capsys, "verify")
+    if issubclass(cls, InputError):
+        assert (rc, out, err) == (2, "", "error: no such thing\n")
+    else:
+        assert (rc, out, err) == (3, "", "evaluation error: no such thing\n")

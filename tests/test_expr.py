@@ -19,7 +19,7 @@ from prodgeo.expr import (
     Neg,
     Pow,
     Var,
-    check_depth,
+    compiled,
     eval_expr,
     eval_value,
     expr_from_obj,
@@ -161,11 +161,11 @@ def test_depth_bound_is_checked_without_recursion():
         with pytest.raises(ExpressionError, match="deeper than 200"):
             make()
     # a subtree shared by both operands at every level: 2^100 paths,
-    # checked level by level
+    # compiled once per distinct subtree
     shared = Var(0)
     for _ in range(100):
         shared = shared + shared
-    check_depth(shared)
-    check_depth(sum_chain([Var(0)] * MAX_DEPTH))
+    compiled(shared)
+    compiled(sum_chain([Var(0)] * MAX_DEPTH))
     with pytest.raises(ExpressionError):
-        check_depth(sum_chain([Var(0)] * (MAX_DEPTH + 1)))
+        compiled(sum_chain([Var(0)] * (MAX_DEPTH + 1)))

@@ -56,6 +56,27 @@ MUTANTS = [
         ["tests/test_program.py"],
     ),
     (
+        "expr/decoder_depth_bound_one_level_short",
+        "expr.py",
+        "def _decode(obj, depth: int) -> Expr:\n    if depth > MAX_DEPTH:",
+        "def _decode(obj, depth: int) -> Expr:\n    if depth >= MAX_DEPTH:",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "errors/domain_violation_is_an_input_error",
+        "errors.py",
+        "class DomainViolation(EvaluationError):",
+        "class DomainViolation(InputError):",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "classifier/grid_size_checked_after_the_box_is_built",
+        "classifier.py",
+        "    _check_counts(n, k, seed, SampleGrid.jitter_points)\n",
+        "",
+        ["tests/test_classifier.py"],
+    ),
+    (
         "classifier/largest_ignores_segments",
         "classifier.py",
         "for segment in np.split(per_point, starts[1:]):",

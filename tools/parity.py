@@ -134,6 +134,15 @@ def cli_cases():
         cases.append((f"cli/input/{name}", argv, ""))
     # JSON true is not the variable index 1
     cases.append(("cli/input/var_true", ["classify", "--spec", "-"], _document(2, ["var", 0], ["var", True])))
+    # a body one level deeper than the bound
+    deep = json.loads('["neg", ' * 200 + '["var", 0]' + "]" * 200)
+    cases.append(("cli/input/body_201_levels", ["classify", "--spec", "-"], _document(1, deep)))
+    # grids past the cap, checked before a box of n axes is built or broadcast
+    for n in (17, 100_000, 10**21):
+        for command in ("classify", "analyze"):
+            for box in ([], ["--box", "0.5:2"]):
+                case_id = f"cli/input/n_{n}/{command}" + ("/box" if box else "")
+                cases.append((case_id, [command, "--spec", "-", *box], _document(n, ["var", 0])))
     return cases
 
 
@@ -252,6 +261,7 @@ def library_cases():
             ),
         ),
         ("repro/validate_acms_8in", lambda: validate(acms_8in, [(0.5, 2.0)] * 8)),
+        ("repro/default_grid_n_1e21", lambda: default_grid(10**21)),
         ("repro/grid_subnormal", lambda: SampleGrid(box=((5e-324, 1e-323), (1.0, 2.0)), jitter_points=1).points()),
         ("repro/hicks_underflow_point", lambda: hicks_elasticity(jet(underflow, tiny), tiny, 0, 1)),
         ("repro/substitution_sample_underflow_point", lambda: substitution_sample(jet(underflow, tiny), tiny)),
