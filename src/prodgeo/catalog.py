@@ -146,7 +146,11 @@ class FunctionSpec:
                     raise ExpressionError(f"inner factor {i} must depend on x{i + 1} only")
             if parts[0].support != (0,):
                 raise ExpressionError("outer expression must depend on exactly one variable")
-            if self.body != substitute(self.outer, {0: product_chain(inners)}):
+            try:  # programs, not trees: a tree compare walks a shared subtree once per path
+                composition = compiled(substitute(self.outer, {0: product_chain(inners)}))
+            except ExpressionError:  # deeper than MAX_DEPTH, so deeper than the body
+                composition = None
+            if composition != body:
                 raise ExpressionError("body is not the composition of outer and inners")
 
     @property

@@ -253,14 +253,12 @@ def _verdict(
 # Grid passes
 # ---------------------------------------------------------------------------
 #
-# Each pass evaluates its indicators for all points at once and reduces
-# them over the point axis.  A pass may join the grids of several
-# functions of the same n, one segment of points each; a reduction then
-# gives one result per segment, and each equals the reduction of that
-# grid alone, bit for bit, as every indicator is pointwise.  Witnesses are
-# first occurrences in point order within their segment, NaN is skipped,
-# and a value that is nowhere defined has no witness (None), as a scan
-# over the points with strict comparisons would give.
+# Each pass evaluates pointwise indicators for all points at once, so a
+# pass that joins the grids of several functions of the same n gives each
+# grid the rows of a pass over it alone, bit for bit.  A reduction runs over
+# one grid's rows: witnesses are first occurrences in point order, NaN is
+# skipped, and a value that is nowhere defined has no witness (None), as a
+# scan over the points with strict comparisons would give.
 
 def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
     """The grid's (n, P) coordinates and ``indicators(jets, coords)`` of
@@ -270,24 +268,22 @@ def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     coords = grid.coords()
-    return coords, _pass([(spec, coords)], lambda j, x, _: indicators(j, x))
+    return coords, _pass([(spec, coords)], indicators)
 
 
 def _pass(parts: list[tuple[FunctionSpec, np.ndarray]], indicators):
-    """``indicators(jets, coords, starts)`` of the jets of the (spec, (n,
-    P)-coords) ``parts``, joined along the point axis into one segment
-    each: ``coords`` are theirs, joined likewise, and ``starts`` the index
-    of each segment's first point.  If that raises a ProdGeoError, the
-    same pass runs on each part alone, in order, and on one part, on each
-    half of its points in grid order, down to the first failing point of
-    the first failing part, whichever of the jets and the indicators fails
-    there; its error names that point: each check fails on a set of points
-    exactly when it fails at one of them."""
+    """``indicators(jets, coords)`` of the jets of the (spec, (n,
+    P)-coords) ``parts``, joined along the point axis: ``coords`` are
+    theirs, joined likewise.  If that raises a ProdGeoError, the same pass
+    runs on each part alone, in order, and on one part, on each half of its
+    points in grid order, down to the first failing point of the first
+    failing part, whichever of the jets and the indicators fails there; its
+    error names that point: each check fails on a set of points exactly
+    when it fails at one of them."""
     coords = np.concatenate([x for _, x in parts], axis=1) if len(parts) > 1 else parts[0][1]
-    starts = np.cumsum([0] + [x.shape[1] for _, x in parts[:-1]])
     try:
         with np.errstate(all="ignore"):
-            return indicators(grid_jet(*parts[0], *parts[1:]), coords, starts)
+            return indicators(grid_jet(*parts[0], *parts[1:]), coords)
     except ProdGeoError as e:
         if len(parts) > 1:
             for part in parts:
@@ -301,30 +297,25 @@ def _pass(parts: list[tuple[FunctionSpec, np.ndarray]], indicators):
         raise
 
 
-def _largest(a: np.ndarray, starts) -> list[tuple[float, Optional[int]]]:
-    """The largest entry of each segment of the (P, m) array ``a`` and the
-    index of its first point within the segment.  Segment s holds the
-    points from ``starts[s]`` to the next start; none is empty."""
-    per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
-    found = []
-    for segment in np.split(per_point, starts[1:]):
-        k = int(np.argmax(segment))
-        found.append((float(segment[k]), k) if segment[k] > -np.inf else (-math.inf, None))
-    return found
+def _largest(column: np.ndarray) -> tuple[float, Optional[int]]:
+    """The largest entry of the (P,) ``column`` and the index of its first
+    point, NaN skipped; (-inf, None) when no entry is above -inf."""
+    k = int(np.argmax(np.where(np.isnan(column), -np.inf, column)))
+    return (float(column[k]), k) if column[k] > -np.inf else (-math.inf, None)
 
 
-def _smallest(a: np.ndarray, starts) -> list[tuple[float, Optional[int]]]:
-    """The smallest entry of each segment of the (P, m) array ``a`` and the
-    index of its first point within the segment, as ``_largest``."""
-    return [(-value, k) for value, k in _largest(-a, starts)]
+def _smallest(column: np.ndarray) -> tuple[float, Optional[int]]:
+    """The smallest entry of the (P,) ``column`` and the index of its first
+    point, as ``_largest``."""
+    value, k = _largest(-column)
+    return -value, k
 
 
-def _bound(tol: TolerancePolicy, noise: np.ndarray, starts) -> np.ndarray:
-    """The zero threshold of each segment of a quantity with noise scale
-    ``noise`` (P, m): the absolute floor plus the relative part times the
-    segment's largest noise, NaN skipped."""
-    per_point = np.where(np.isnan(noise), 0.0, noise).max(axis=1, initial=0.0)
-    return tol.zero_abs + tol.zero_rel * np.maximum.reduceat(per_point, starts)
+def _bound(tol: TolerancePolicy, noise: np.ndarray) -> float:
+    """The zero threshold of a quantity with the (P,) noise scale
+    ``noise``: the absolute floor plus the relative part times the largest
+    noise, NaN skipped."""
+    return tol.zero_abs + tol.zero_rel * float(np.where(np.isnan(noise), 0.0, noise).max(initial=0.0))
 
 
 def _mean_spread(values: np.ndarray) -> tuple[float, float]:
@@ -340,23 +331,16 @@ def _mean_spread(values: np.ndarray) -> tuple[float, float]:
     return mean, max(flat.tolist()) - min(flat.tolist())
 
 
-def _curvature_stats(
-    jets: SecondOrderJet, tol: TolerancePolicy, starts
-) -> list[dict[str, tuple[float, Optional[int], float]]]:
-    """Every curvature check over each segment of the grid, in one pass.
-
-    Maps each curvature verdict name to its observed value, witness index
-    and bound, one map per segment: the maximum of |quantity| against its
-    noise-scaled zero threshold for the vanishing checks, and for the two
-    negative controls the minimum of |K| and of each point's largest
-    |Riemann component| against ten times the threshold.
-    """
+def _curvature_columns(jets: SecondOrderJet) -> np.ndarray:
+    """The (P, 8) per-point columns of the curvature checks: |K|, the largest
+    |R(i,k,k,i)| over the pairs i < k, |H| and the largest |K_ik|, each
+    followed by its noise scale; a largest over the pairs skips NaN."""
     n = jets.n
     g, h = jets.stacked
     w = slope_w(jets)
     i, k = triu(n, 1)
-    abs_k = np.abs(gauss_kronecker(jets))[:, None]
-    abs_h = np.abs(mean_curvature_of_jet(jets))[:, None]
+    abs_k = np.abs(gauss_kronecker(jets))
+    abs_h = np.abs(mean_curvature_of_jet(jets))
     # Noise scales: a Hadamard-type bound on the quantity's terms (row
     # norm products for determinants and minors) over its normalizer.
     row_norms = np.sqrt((h * h).sum(axis=-1))
@@ -366,22 +350,30 @@ def _curvature_stats(
         + quadratic_form(np.abs(g), np.abs(h)) / slope_power(jets, 3)
     ) / n
     r, s, r_noise, s_noise = plane_curvatures(jets, i, k, row_norms.T[i] * row_norms.T[k])
-    abs_r, abs_s = np.abs(r).T, np.abs(s).T
-    k_bound = _bound(tol, k_noise[:, None], starts)
-    r_bound = _bound(tol, r_noise.T, starts)
-    pointwise_max_r = np.where(np.isnan(abs_r), 0.0, abs_r).max(axis=1, initial=0.0)[:, None]
-    checks = {
-        "vanishing_gk": (_largest(abs_k, starts), k_bound),
-        "flat": (_largest(abs_r, starts), r_bound),
-        "minimal": (_largest(abs_h, starts), _bound(tol, h_noise[:, None], starts)),
-        "vanishing_sectional": (_largest(abs_s, starts), _bound(tol, s_noise.T, starts)),
-        "nonvanishing_gk": (_smallest(abs_k, starts), 10.0 * k_bound),
-        "nonflat_everywhere": (_smallest(pointwise_max_r, starts), 10.0 * r_bound),
+    max_r, r_noise, max_s, s_noise = (np.fmax.reduce(a) for a in (np.abs(r), r_noise, np.abs(s), s_noise))
+    return np.stack([abs_k, k_noise, max_r, r_noise, abs_h, h_noise, max_s, s_noise], axis=1)
+
+
+def _curvature_stats(columns: np.ndarray, tol: TolerancePolicy) -> dict[str, tuple[float, Optional[int], float]]:
+    """Every curvature check over one grid's (P, 8) ``_curvature_columns``.
+
+    Maps each curvature verdict name to its observed value, witness index
+    and bound: the maximum of |quantity| against its noise-scaled zero
+    threshold for the vanishing checks, and for the two negative controls
+    the minimum of |K| and of each point's largest |Riemann component|
+    against ten times the threshold.
+    """
+    abs_k, k_noise, max_r, r_noise, abs_h, h_noise, max_s, s_noise = columns.T
+    k_bound, r_bound = _bound(tol, k_noise), _bound(tol, r_noise)
+    return {
+        "vanishing_gk": (*_largest(abs_k), k_bound),
+        "flat": (*_largest(max_r), r_bound),
+        "minimal": (*_largest(abs_h), _bound(tol, h_noise)),
+        "vanishing_sectional": (*_largest(max_s), _bound(tol, s_noise)),
+        "nonvanishing_gk": (*_smallest(abs_k), 10.0 * k_bound),
+        # A point with no |R(i,k,k,i)| defined counts as flat here.
+        "nonflat_everywhere": (*_smallest(np.where(np.isnan(max_r), 0.0, max_r)), 10.0 * r_bound),
     }
-    return [
-        {name: (*found[segment], float(bound[segment])) for name, (found, bound) in checks.items()}
-        for segment in range(len(starts))
-    ]
 
 
 def _substitution_stats(
@@ -394,7 +386,7 @@ def _substitution_stats(
     i, k = ordered_pairs(n)
     elasticities = output_elasticity(jets, coords, np.arange(n))
     # proportional MRS means MRS_ik == x_i / x_k
-    (mrs_dev,) = _largest(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0).T, [0])
+    mrs_dev = _largest(np.fmax.reduce(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0)))
     return elasticities.T, mrs_dev, hicks_elasticity(jets, coords, *triu(n, 1)).T
 
 
@@ -426,9 +418,10 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     tol = tol or TolerancePolicy()
     # Substitution first: its evaluation errors take precedence over a
     # curvature overflow at the same point, as in a report.
-    coords, ((elasticities, mrs_dev, hicks), curvature) = grid_pass(
-        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_stats(j, tol, [0])[0])
+    coords, ((elasticities, mrs_dev, hicks), columns) = grid_pass(
+        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_columns(j))
     )
+    curvature = _curvature_stats(columns, tol)
     # Every curvature check but the negative controls, in the order of _curvature_stats.
     properties = [_verdict(name, *c, coords) for name, c in curvature.items() if not name.startswith("non")]
     properties.append(_verdict("proportional_mrs", *mrs_dev, tol.constancy_rel, coords))
@@ -621,11 +614,12 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
 
     Consecutive fixtures of the same n share one curvature pass, joined
     into blocks of at most ``jets._POINT_BLOCK`` points: each fixture's
-    tree gives its own grid jet, and the reductions run per fixture, so
-    every result is that of a pass over the fixture alone.  An evaluation
-    error is that of the first fixture that fails alone, at its first
-    failing point.  The fixtures and their grids are built once per
-    process; every result is computed anew under ``tol``."""
+    tree gives its own grid jet, and each fixture's rows of the block's
+    per-point columns are reduced alone, so every result is that of a
+    pass over the fixture alone.  An evaluation error is that of the
+    first fixture that fails alone, at its first failing point.  The
+    fixtures and their grids are built once per process; every result is
+    computed anew under ``tol``."""
     tol = tol or TolerancePolicy()
     blocks: list[list[tuple[CatalogFixture, np.ndarray]]] = []
     for fx in catalog_fixtures():
@@ -638,8 +632,11 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
             blocks.append([(fx, coords)])
     results = []
     for block in blocks:
-        stats = _pass([(fx.spec, x) for fx, x in block], lambda j, _, starts: _curvature_stats(j, tol, starts))
-        for (fx, coords), curvature in zip(block, stats):
+        columns = _pass([(fx.spec, x) for fx, x in block], lambda j, _: _curvature_columns(j))
+        end = 0
+        for fx, coords in block:
+            end += coords.shape[1]
+            curvature = _curvature_stats(columns[end - coords.shape[1] : end], tol)
             for check in fx.checks:
                 v = _verdict(check, *curvature[check], coords)
                 results.append(

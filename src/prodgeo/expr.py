@@ -237,11 +237,18 @@ def variables(e: Expr) -> frozenset[int]:
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
-    """Replace every Var(i) with mapping[i]; unmapped variables stay."""
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    _, children, payloads = _split(e)
-    return type(e)(*map(substitute, children, repeat(mapping)), *payloads) if children else e
+    """Replace every Var(i) with mapping[i]; unmapped variables stay.  Each
+    node object is rewritten once, so shared subtrees stay shared."""
+    return _substitute(e, mapping, {})
+
+
+def _substitute(node: Expr, mapping: dict[int, Expr], done: dict[int, Expr]) -> Expr:
+    """``substitute``; ``done`` maps the id of each node rewritten so far, kept alive by the tree, to its rewrite."""
+    if id(node) not in done:
+        _, children, payloads = _split(node)
+        new = type(node)(*map(_substitute, children, repeat(mapping), repeat(done)), *payloads) if children else node
+        done[id(node)] = mapping.get(node.index, node) if isinstance(node, Var) else new
+    return done[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +409,12 @@ class Program:
         self.support = tuple(sorted(support))
         self.depth = heights[self._out]
         self._slots, self._code = slots, code
+
+    def __eq__(self, other):
+        """Whether both run the same instructions on equal constants and payloads,
+        as the programs of equal trees do unless their zeros' signs differ."""
+        parts = operator.attrgetter("_out", "_code", "_slots")
+        return isinstance(other, Program) and parts(self) == parts(other)
 
     def run(self, xs):
         """The tree's value for the per-variable scalars ``xs``."""

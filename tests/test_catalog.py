@@ -3,8 +3,11 @@
 import copy
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -28,7 +31,7 @@ from prodgeo.errors import (
     ExpressionError,
     ParameterViolation,
 )
-from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, eval_expr, product_chain, sum_chain
+from prodgeo.expr import Add, Const, Exp, Ln, Mul, Pow, Var, eval_expr, product_chain, sum_chain
 from prodgeo.jets import _POINT_BLOCK, jet, propagate, univariate_jet
 
 
@@ -173,6 +176,33 @@ def test_function_spec_rejects_inconsistent_composition():
             outer=Var(0),
             inners=(Var(0), Var(1)),
         )
+
+
+def test_function_spec_rejects_a_body_that_differs_from_its_composition_in_one_constant():
+    with pytest.raises(ExpressionError, match=r"^body is not the composition of outer and inners$"):
+        FunctionSpec(2, Mul(Const(2.0), Mul(Var(0), Var(1))), outer=Mul(Const(3.0), Var(0)), inners=(Var(0), Var(1)))
+
+
+def test_a_quasi_product_of_a_shared_subtree_builds_in_time_linear_in_its_distinct_nodes():
+    # 60 doublings of one subtree: 62 distinct nodes on 2^60 paths.  A walk
+    # per path would not finish, so the build runs in a child under a timeout.
+    import prodgeo
+
+    code = (
+        "import time\n"
+        "from prodgeo.catalog import build_quasi_product\n"
+        "from prodgeo.expr import Add, Var\n"
+        "e = Var(0) + 1.0\n"
+        "for _ in range(60):\n"
+        "    e = Add(e, e)\n"
+        "start = time.perf_counter()\n"
+        "spec = build_quasi_product(e, [Var(0), Var(0)])\n"
+        "print(spec.n, time.perf_counter() - start)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prodgeo.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5, check=True)
+    n, seconds = child.stdout.split()
+    assert n == "2" and float(seconds) < 1.0
 
 
 def test_quasi_product_families_and_outer_variable():

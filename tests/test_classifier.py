@@ -16,6 +16,7 @@ from prodgeo.classifier import (
     ExpectationResult,
     SampleGrid,
     TolerancePolicy,
+    _curvature_columns,
     _curvature_stats,
     _fixture_coords,
     _verdict,
@@ -615,12 +616,11 @@ def test_flat_verdicts_imply_vanishing_sectional():
 
 
 def _verify_per_fixture(tol):
-    """verify_catalog as one grid pass per fixture, with one segment each."""
+    """verify_catalog as one grid pass per fixture."""
     results = []
     for fx in catalog_fixtures():
-        coords, (curvature,) = grid_pass(
-            fx.spec, default_grid(fx.spec.n, seed=fx.seed), lambda j, _: _curvature_stats(j, tol, [0])
-        )
+        coords, columns = grid_pass(fx.spec, default_grid(fx.spec.n, seed=fx.seed), lambda j, _: _curvature_columns(j))
+        curvature = _curvature_stats(columns, tol)
         for check in fx.checks:
             v = _verdict(check, *curvature[check], coords)
             results.append(
@@ -640,15 +640,16 @@ def test_verify_catalog_runs_one_curvature_pass_per_block(monkeypatch):
     # points; 13 of 375 points at n = 3 fill blocks of 4, 4, 4 and 1.
     import prodgeo.classifier
 
-    segments = []
+    points = []
 
-    def counting(jets, tol, starts):
-        segments.append(len(starts))
-        return _curvature_stats(jets, tol, starts)
+    def counting(jets):
+        columns = _curvature_columns(jets)
+        points.append(len(columns))
+        return columns
 
-    monkeypatch.setattr(prodgeo.classifier, "_curvature_stats", counting)
+    monkeypatch.setattr(prodgeo.classifier, "_curvature_columns", counting)
     verify_catalog()
-    assert segments == [13, 4, 4, 4, 1]
+    assert points == [13 * 81, 4 * 375, 4 * 375, 4 * 375, 375]
 
 
 def test_catalog_fixtures_are_new_lists_over_shared_fixtures():
@@ -726,7 +727,7 @@ def test_verify_catalog_raises_the_error_of_the_failing_fixture_alone(monkeypatc
     with pytest.raises(ProdGeoError) as packed:
         verify_catalog()
     with pytest.raises(ProdGeoError) as alone:
-        grid_pass(spec, default_grid(2, seed=3), lambda j, _: _curvature_stats(j, TolerancePolicy(), [0]))
+        grid_pass(spec, default_grid(2, seed=3), lambda j, _: _curvature_stats(_curvature_columns(j), TolerancePolicy()))
     assert type(packed.value) is type(alone.value)
     assert packed.value.point == alone.value.point is not None
     assert str(packed.value) == str(alone.value)

@@ -100,6 +100,12 @@ def test_variables_and_substitute():
     assert eval_expr(swapped, [1.0, 0.0, 3.0]) == eval_expr(e, [3.0, 0.0, 1.0])
 
 
+def test_substitute_keeps_a_shared_subtree_shared():
+    e = Var(0) + 1.0
+    rewritten = substitute(Add(e, e), {0: Var(1)})
+    assert rewritten.left is rewritten.right and rewritten.left == Var(1) + 1.0
+
+
 def test_serialization_round_trip_is_structural_identity():
     e = Div(Mul(Const(0.1), Pow(Var(0), 1.0 / 3.0)), Add(Ln(Var(1)), Neg(Exp(Var(0)))))
     obj = expr_to_obj(e)

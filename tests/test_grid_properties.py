@@ -95,48 +95,29 @@ def test_mean_spread_equals_the_list_reduction(rows):
     assert unsigned_nan([mean, spread]) == unsigned_nan([total / len(flat), max(flat) - min(flat)])
 
 
-def _largest_of_grid(a):
-    """The reduction over a whole grid that the segment-aware one replaces."""
-    per_point = np.where(np.isnan(a), -np.inf, a).max(axis=1, initial=-np.inf)
-    k = int(np.argmax(per_point))
-    return (float(per_point[k]), k) if per_point[k] > -np.inf else (-math.inf, None)
+def _scan(column, better, start):
+    """The first entry of ``column`` that ``better`` prefers to every
+    earlier one and to ``start``, and its index (None for ``start``), by a
+    loop over the points with strict comparisons: NaN is never preferred."""
+    best, witness = start, None
+    for k, x in enumerate(column.tolist()):
+        if better(x, best):
+            best, witness = x, k
+    return best, witness
 
 
-def _smallest_of_grid(a):
-    value, k = _largest_of_grid(-a)
-    return -value, k
-
-
-def _bound_of_grid(tol, noise):
-    return tol.zero_abs + tol.zero_rel * float(np.where(np.isnan(noise), 0.0, noise).max(initial=0.0))
-
-
-@st.composite
-def segmented_arrays(draw):
-    """A (P, m) array with special values, strictly increasing segment
-    starts from 0, and some segments all NaN."""
-    m = draw(st.integers(0, 3))
-    rows = draw(st.lists(st.lists(special | st.floats(), min_size=m, max_size=m), min_size=1, max_size=24))
-    a = np.array(rows).reshape(len(rows), m)
-    starts = [0] + sorted(draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else [])
-    ends = starts[1:] + [len(rows)]
-    for lo, hi in zip(starts, ends):
-        if draw(st.booleans()):
-            a[lo:hi] = math.nan
-    return a, np.array(starts), list(zip(starts, ends))
-
-
-@settings(max_examples=100, deadline=None)
-@given(segmented_arrays(), st.floats(1e-30, 1.0), st.floats(1e-30, 1.0))
-def test_segment_reductions_equal_the_reductions_of_each_slice(case, zero_abs, zero_rel):
-    a, starts, segments = case
+@settings(max_examples=300, deadline=None)
+@given(st.lists(special | st.floats(), min_size=1, max_size=24), st.floats(1e-30, 1.0), st.floats(1e-30, 1.0))
+def test_column_reductions_equal_a_scan_over_the_points(entries, zero_abs, zero_rel):
+    column = np.array(entries)
     tol = TolerancePolicy(zero_abs=zero_abs, zero_rel=zero_rel)
-    largest, smallest, bound = _largest(a, starts), _smallest(a, starts), _bound(tol, a, starts)
-    assert len(largest) == len(smallest) == len(bound) == len(segments)
-    for s, (lo, hi) in enumerate(segments):
-        for got, want in ((largest[s], _largest_of_grid(a[lo:hi])), (smallest[s], _smallest_of_grid(a[lo:hi]))):
-            assert _bits(got[0]) == _bits(want[0]) and got[1] == want[1]
-        assert _bits(bound[s]) == _bits(_bound_of_grid(tol, a[lo:hi]))
+    for got, want in (
+        (_largest(column), _scan(column, lambda x, best: x > best, -math.inf)),
+        (_smallest(column), _scan(column, lambda x, best: x < best, math.inf)),
+    ):
+        assert type(got[0]) is float and _bits(got[0]) == _bits(want[0]) and got[1] == want[1]
+    largest_noise, _ = _scan(column, lambda x, best: x > best, 0.0)
+    assert _bits(_bound(tol, column)) == _bits(tol.zero_abs + tol.zero_rel * largest_noise)
 
 
 @settings(max_examples=50, deadline=None)

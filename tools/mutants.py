@@ -77,11 +77,18 @@ MUTANTS = [
         ["tests/test_classifier.py"],
     ),
     (
-        "classifier/largest_ignores_segments",
-        "classifier.py",
-        "for segment in np.split(per_point, starts[1:]):",
-        "for segment in [per_point] * len(starts):",
-        ["tests/test_classifier.py"],
+        "expr/substitute_without_its_memo",
+        "expr.py",
+        "    if id(node) not in done:\n",
+        "    if True:\n",
+        ["tests/test_expr.py"],
+    ),
+    (
+        "expr/program_equality_ignores_slots",
+        "expr.py",
+        'parts = operator.attrgetter("_out", "_code", "_slots")',
+        'parts = operator.attrgetter("_out", "_code")',
+        ["tests/test_catalog.py"],
     ),
     (
         "classifier/pass_without_per_part_split",
@@ -91,10 +98,10 @@ MUTANTS = [
         ["tests/test_classifier.py"],
     ),
     (
-        "classifier/one_bound_for_all_segments",
+        "classifier/each_fixture_reads_its_blocks_first_rows",
         "classifier.py",
-        "np.maximum.reduceat(per_point, starts)",
-        "np.full(len(starts), per_point.max(initial=0.0))",
+        "columns[end - coords.shape[1] : end]",
+        "columns[: coords.shape[1]]",
         ["tests/test_classifier.py"],
     ),
     (
