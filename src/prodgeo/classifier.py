@@ -253,33 +253,50 @@ def _verdict(
 # Grid passes
 # ---------------------------------------------------------------------------
 #
-# Each pass evaluates pointwise indicators for all points at once, so a
-# pass that joins the grids of several functions of the same n gives each
-# grid the rows of a pass over it alone, bit for bit.  A reduction runs over
-# one grid's rows: witnesses are first occurrences in point order, NaN is
-# skipped, and a value that is nowhere defined has no witness (None), as a
-# scan over the points with strict comparisons would give.
+# A pass evaluates per-point indicator columns block by block and joins
+# them in grid order; a pass that joins the grids of several functions of
+# the same n gives each grid the rows of a pass over it alone, bit for bit.
+# Every reduction runs after the join, over one grid's rows: witnesses are
+# first occurrences in point order, NaN is skipped, and a value that is
+# nowhere defined has no witness (None), as a scan over the points with
+# strict comparisons would give.
 
 def grid_pass(spec: FunctionSpec, grid: SampleGrid, indicators):
-    """The grid's (n, P) coordinates and ``indicators(jets, coords)`` of
-    the grid's jets, evaluated at every point at once with numpy's
-    warnings off: a loop over the points would stop at the first failing
-    one."""
+    """The grid's (n, P) coordinates and the (P, m) per-point columns
+    ``indicators(jets, coords)`` of the grid's jets, evaluated block by
+    block with numpy's warnings off: a loop over the points would stop at
+    the first failing one."""
     if grid.n != spec.n:
         raise ParameterViolation(f"grid has {grid.n} axes, function has {spec.n} inputs")
     coords = grid.coords()
     return coords, _pass([(spec, coords)], indicators)
 
 
-def _pass(parts: list[tuple[FunctionSpec, np.ndarray]], indicators):
-    """``indicators(jets, coords)`` of the jets of the (spec, (n,
-    P)-coords) ``parts``, joined along the point axis: ``coords`` are
-    theirs, joined likewise.  If that raises a ProdGeoError, the same pass
-    runs on each part alone, in order, and on one part, on each half of its
-    points in grid order, down to the first failing point of the first
-    failing part, whichever of the jets and the indicators fails there; its
-    error names that point: each check fails on a set of points exactly
-    when it fails at one of them."""
+def _pass(parts: list[tuple[FunctionSpec, np.ndarray]], indicators) -> np.ndarray:
+    """The (P, m) columns ``indicators(jets, coords)`` of the (spec, (n,
+    P)-coords) ``parts``, one row per point of the parts in order.
+
+    The parts are walked in order in blocks of at most ``_POINT_BLOCK``
+    points: consecutive parts of the same n share a block while they fit,
+    and a larger part is cut.  Several blocks give their passes, joined.
+    One block gives ``indicators`` of the jets of each part's own tree,
+    joined along the point axis, and ``coords`` joined likewise.  If that
+    raises a ProdGeoError, the same pass runs on each part alone, in
+    order, and on one part, on each half of its points in grid order, down
+    to the first failing point of the first failing part, whichever of the
+    jets and the indicators fails there; its error names that point: each
+    check fails on a set of points exactly when it fails at one of them."""
+    blocks: list[list[tuple[FunctionSpec, np.ndarray]]] = []
+    for spec, coords in parts:
+        for start in range(0, coords.shape[1], _POINT_BLOCK):
+            piece = coords[:, start : start + _POINT_BLOCK]
+            block = blocks[-1] if blocks else []
+            if block and block[0][0].n == spec.n and sum(x.shape[1] for _, x in block) + piece.shape[1] <= _POINT_BLOCK:
+                block.append((spec, piece))
+            else:
+                blocks.append([(spec, piece)])
+    if len(blocks) > 1:
+        return np.concatenate([_pass(block, indicators) for block in blocks])
     coords = np.concatenate([x for _, x in parts], axis=1) if len(parts) > 1 else parts[0][1]
     try:
         with np.errstate(all="ignore"):
@@ -376,18 +393,20 @@ def _curvature_stats(columns: np.ndarray, tol: TolerancePolicy) -> dict[str, tup
     }
 
 
-def _substitution_stats(
-    jets: SecondOrderJet, coords: np.ndarray
-) -> tuple[np.ndarray, tuple[float, Optional[int]], np.ndarray]:
-    """Output elasticities (P, n), the largest |proportional-MRS deviation|
-    with its point's index (reduced at once, before the curvature pass)
-    and Hicks elasticities (P, pairs) over the grid, in one pass."""
+def _classify_columns(jets: SecondOrderJet, coords: np.ndarray) -> np.ndarray:
+    """The (P, n + 1 + pairs + 8) per-point columns of classify: the n
+    output elasticities, the largest |proportional-MRS deviation| over the
+    ordered pairs (NaN skipped), the Hicks elasticities of the pairs i < k
+    and the ``_curvature_columns``.  Substitution first: its evaluation
+    errors take precedence over a curvature overflow at the same point, as
+    in a report."""
     n = jets.n
     i, k = ordered_pairs(n)
     elasticities = output_elasticity(jets, coords, np.arange(n))
     # proportional MRS means MRS_ik == x_i / x_k
-    mrs_dev = _largest(np.fmax.reduce(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0)))
-    return elasticities.T, mrs_dev, hicks_elasticity(jets, coords, *triu(n, 1)).T
+    mrs_dev = np.fmax.reduce(abs(mrs(jets, i, k) * coords[k] / coords[i] - 1.0))
+    hicks = hicks_elasticity(jets, coords, *triu(n, 1))
+    return np.column_stack([elasticities.T, mrs_dev, hicks.T, _curvature_columns(jets)])
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +435,15 @@ def classify(spec: FunctionSpec, grid: SampleGrid, tol: Optional[TolerancePolicy
     evaluation errors propagate with the offending point attached.
     """
     tol = tol or TolerancePolicy()
-    # Substitution first: its evaluation errors take precedence over a
-    # curvature overflow at the same point, as in a report.
-    coords, ((elasticities, mrs_dev, hicks), columns) = grid_pass(
-        spec, grid, lambda j, x: (_substitution_stats(j, x), _curvature_columns(j))
-    )
-    curvature = _curvature_stats(columns, tol)
+    n = spec.n
+    coords, columns = grid_pass(spec, grid, _classify_columns)
+    curvature = _curvature_stats(columns[:, -8:], tol)
     # Every curvature check but the negative controls, in the order of _curvature_stats.
     properties = [_verdict(name, *c, coords) for name, c in curvature.items() if not name.startswith("non")]
-    properties.append(_verdict("proportional_mrs", *mrs_dev, tol.constancy_rel, coords))
-    for i in range(spec.n):
-        properties.append(
-            _constancy_verdict(f"constant_elasticity_x{i + 1}", elasticities[:, i:i + 1], coords, tol)
-        )
-    properties.append(_constancy_verdict("ces", hicks, coords, tol))
+    properties.append(_verdict("proportional_mrs", *_largest(columns[:, n]), tol.constancy_rel, coords))
+    for i in range(n):
+        properties.append(_constancy_verdict(f"constant_elasticity_x{i + 1}", columns[:, i : i + 1], coords, tol))
+    properties.append(_constancy_verdict("ces", columns[:, n + 1 : -8], coords, tol))
     return ClassificationVerdict(family=spec.family, n=spec.n, properties=tuple(properties))
 
 
@@ -437,8 +451,8 @@ def estimate_sigma(spec: FunctionSpec, grid: SampleGrid) -> tuple[float, float]:
     """Grid mean and (max - min) spread of the Hicks elasticity over all
     input pairs; the CES property holds when spread / |mean| is within
     the constancy tolerance."""
-    _, hicks = grid_pass(spec, grid, lambda j, x: hicks_elasticity(j, x, *triu(j.n, 1)))
-    return _mean_spread(hicks.T)
+    _, hicks = grid_pass(spec, grid, lambda j, x: hicks_elasticity(j, x, *triu(j.n, 1)).T)
+    return _mean_spread(hicks)
 
 
 # ---------------------------------------------------------------------------
@@ -612,34 +626,23 @@ def verify_catalog(tol: Optional[TolerancePolicy] = None) -> CatalogReport:
     """Run every fixture expectation and report pass/fail with the worst
     witness.  Failures are report entries, never exceptions.
 
-    Consecutive fixtures of the same n share one curvature pass, joined
-    into blocks of at most ``jets._POINT_BLOCK`` points: each fixture's
-    tree gives its own grid jet, and each fixture's rows of the block's
-    per-point columns are reduced alone, so every result is that of a
-    pass over the fixture alone.  An evaluation error is that of the
-    first fixture that fails alone, at its first failing point.  The
-    fixtures and their grids are built once per process; every result is
-    computed anew under ``tol``."""
+    All fixtures run in one curvature pass, which packs consecutive
+    fixtures of the same n into its blocks: each fixture's tree gives its
+    own grid jet, and each fixture's rows of the per-point columns are
+    reduced alone, so every result is that of a pass over the fixture
+    alone.  An evaluation error is that of the first fixture that fails
+    alone, at its first failing point.  The fixtures and their grids are
+    built once per process; every result is computed anew under ``tol``."""
     tol = tol or TolerancePolicy()
-    blocks: list[list[tuple[CatalogFixture, np.ndarray]]] = []
-    for fx in catalog_fixtures():
-        coords = _fixture_coords(fx.spec.n, fx.seed)
-        block = blocks[-1] if blocks else []
-        points = sum(x.shape[1] for _, x in block) + coords.shape[1]
-        if block and block[0][0].spec.n == fx.spec.n and points <= _POINT_BLOCK:
-            block.append((fx, coords))
-        else:
-            blocks.append([(fx, coords)])
-    results = []
-    for block in blocks:
-        columns = _pass([(fx.spec, x) for fx, x in block], lambda j, _: _curvature_columns(j))
-        end = 0
-        for fx, coords in block:
-            end += coords.shape[1]
-            curvature = _curvature_stats(columns[end - coords.shape[1] : end], tol)
-            for check in fx.checks:
-                v = _verdict(check, *curvature[check], coords)
-                results.append(
-                    ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
-                )
+    parts = [(fx, _fixture_coords(fx.spec.n, fx.seed)) for fx in catalog_fixtures()]
+    columns = _pass([(fx.spec, x) for fx, x in parts], lambda j, _: _curvature_columns(j))
+    results, end = [], 0
+    for fx, coords in parts:
+        end += coords.shape[1]
+        curvature = _curvature_stats(columns[end - coords.shape[1] : end], tol)
+        for check in fx.checks:
+            v = _verdict(check, *curvature[check], coords)
+            results.append(
+                ExpectationResult(fx.name, fx.spec.n, check, v.holds, v.worst_value, v.threshold_used, v.worst_point)
+            )
     return CatalogReport(tuple(results))

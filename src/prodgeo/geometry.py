@@ -32,6 +32,7 @@ coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -211,34 +212,25 @@ def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:
         )
     with at_point(p, spec.n) as point:
         n = spec.n
-        r = np.zeros(n)
-        s = np.zeros(n)
-        u = 1.0
+        r, s, u = [], [], 1.0
         for i, g in enumerate(spec.inners):
             gv, gd, gdd = univariate_jet(g, point[i])
             if gv <= 0.0:
                 raise DomainViolation(f"inner factor {i + 1} is non-positive ({gv!r}) at {point.coords}")
-            r[i] = gd / gv
-            s[i] = gdd / gv - r[i] * r[i]
+            r.append(gd / gv)
+            s.append(gdd / gv - r[i] * r[i])
             u *= gv
         _, fd1, fd2 = univariate_jet(spec.outer, u)
         if fd1 == 0.0:
             raise DegenerateOuter(f"outer derivative vanishes at u={u!r}")
-        prod_all = 1.0
-        for si in s:
-            prod_all *= si
         correction = 0.0
         for jdx in range(n):
-            partial = 1.0
-            for i in range(n):
-                if i != jdx:
-                    partial *= s[i]
-            correction += r[jdx] * r[jdx] * partial
-        bracket = float(prod_all + (1.0 + u * fd2 / fd1) * correction)
+            correction += r[jdx] * r[jdx] * math.prod(s[:jdx] + s[jdx + 1 :])
+        bracket = math.prod(s) + (1.0 + u * fd2 / fd1) * correction
         try:
             slope = (u * fd1) ** n
         except OverflowError:
             raise DomainViolation(f"outer slope power overflows: {u * fd1!r} ** {n} at {point.coords}") from None
-        if np.isinf(det := slope * bracket) and np.isfinite(bracket):
+        if math.isinf(det := slope * bracket) and math.isfinite(bracket):
             raise DomainViolation(f"Hessian determinant overflows: {slope!r} * {bracket!r} at {point.coords}")
         return det

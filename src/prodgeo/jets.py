@@ -11,14 +11,14 @@ and applies the dense rule there, skipping only structurally zero entries.
 A jet describes one point or a whole grid.  A grid jet carries a
 trailing point axis -- value (P,), gradient (k, P), packed Hessian
 (k(k+1)/2, P) -- so every rule broadcasts over the points unchanged and
-one pass over the expression tree, block by block, serves the grid
-(vector forward mode).  Each point of a grid jet equals the one-point
-jet there bit for bit: the rules use only elementwise IEEE arithmetic,
-and the transcendental primitives map ``math.exp``, ``math.log`` and
-``math.pow`` over one float at a time, because numpy's vectorized
-versions round differently.  A grid jet that fails a check at some
-point raises that check's error for the whole grid, naming no point;
-``classifier.grid_pass`` searches the grid for the first failing point.
+one pass over the expression tree serves the grid (vector forward mode).
+Each point of a grid jet equals the one-point jet there bit for bit: the
+rules use only elementwise IEEE arithmetic, and the transcendental
+primitives map ``math.exp``, ``math.log`` and ``math.pow`` over one float
+at a time, because numpy's vectorized versions round differently.  A
+grid jet that fails a check at some point raises that check's error for
+the whole grid, naming no point; ``classifier.grid_pass`` searches the
+grid for the first failing point.
 
 A central finite-difference oracle with O(h^2) error is provided as an
 independent cross-check; it is used by the test suite and never by the
@@ -56,7 +56,7 @@ def _reject(bad, x: PointValues, message: str) -> None:
         raise DomainViolation(message.format(float(np.asarray(x)[bad][0])))
 
 
-#: The most points propagate evaluates at once: larger temporaries cost more to allocate than to fill.
+#: The most points a grid pass or validate evaluates at once: larger temporaries cost more to allocate than to fill.
 _POINT_BLOCK = 1500
 
 
@@ -321,13 +321,11 @@ def propagate(spec: "FunctionSpec", coords) -> Jet2:
     """Evaluate ``spec.body`` on jets seeded at ``coords``, unchecked.
 
     ``coords`` holds n floats for one point, or the (n, P) array of a
-    grid's coordinates, evaluated in blocks of at most ``_POINT_BLOCK``
-    points.  A body without variables gives a jet with zero derivatives.
+    grid's coordinates, all evaluated at once.  A body without variables
+    gives a jet with zero derivatives.
     """
-    if isinstance(coords, np.ndarray) and coords.ndim == 2 and coords.shape[1] > _POINT_BLOCK:
-        blocks = [_propagate(spec, coords[:, s : s + _POINT_BLOCK]) for s in range(0, coords.shape[1], _POINT_BLOCK)]
-        return _joined(blocks)
-    return _propagate(spec, coords)
+    out = eval_expr(spec.body, [Jet2.seed(x, i) for i, x in enumerate(coords)])
+    return _over_all(out, spec.n, np.shape(coords[0]))
 
 
 def _joined(jets: list[Jet2]) -> Jet2:
@@ -335,11 +333,6 @@ def _joined(jets: list[Jet2]) -> Jet2:
     if len(jets) == 1:
         return jets[0]
     return Jet2(*(np.concatenate(p, axis=-1) for p in zip(*((j.f, j.g, j.h) for j in jets))), jets[0].s)
-
-
-def _propagate(spec: "FunctionSpec", coords) -> Jet2:
-    out = eval_expr(spec.body, [Jet2.seed(x, i) for i, x in enumerate(coords)])
-    return _over_all(out, spec.n, np.shape(coords[0]))
 
 
 def _over_all(out: Union[Jet2, float], n: int, shape: tuple) -> Jet2:

@@ -69,11 +69,10 @@ def geometry_report(spec: FunctionSpec, p) -> GeometryReport:
 
 
 def report_table(spec: FunctionSpec, grid: SampleGrid) -> np.ndarray:
-    """``geometry_report`` at every point of the grid, evaluated at once, as
-    one (P, m) array: one row per point and one column per name of
-    ``report_header``."""
-    coords, fields = grid_pass(spec, grid, _fields)
-    return np.column_stack([coords.T, *(v.T for v in fields.values())])
+    """``geometry_report`` at every point of the grid, evaluated in one grid
+    pass, as one (P, m) array: one row per point and one column per name
+    of ``report_header``."""
+    return grid_pass(spec, grid, lambda j, x: np.column_stack([x.T, *(v.T for v in _fields(j, x).values())]))[1]
 
 
 def report_record(n: int, cells) -> dict:

@@ -16,9 +16,11 @@ from prodgeo.classifier import (
     ExpectationResult,
     SampleGrid,
     TolerancePolicy,
+    _classify_columns,
     _curvature_columns,
     _curvature_stats,
     _fixture_coords,
+    _pass,
     _verdict,
     catalog_fixtures,
     classify,
@@ -36,7 +38,7 @@ from prodgeo.errors import (
     ZeroMarginalProduct,
 )
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var, sum_chain
-from prodgeo.jets import grid_jet, jet
+from prodgeo.jets import _POINT_BLOCK, grid_jet, jet
 from prodgeo.linalg import ordered_pairs
 
 
@@ -327,7 +329,8 @@ def test_classify_maps_each_slope_power_over_the_grid_once(monkeypatch):
 
 def test_classify_checks_each_marginal_product_once(monkeypatch):
     # MRS of every ordered pair and Hicks of every pair divide by the
-    # partials; each input's partial is checked once per jet, in input order.
+    # partials; each input's partial is checked once per jet, in input
+    # order.  The 4,128-point grid runs in three block jets.
     import prodgeo.economics
     from prodgeo.economics import hicks_elasticity, mrs, output_elasticity
     from prodgeo.jets import SecondOrderJet
@@ -344,8 +347,11 @@ def test_classify_checks_each_marginal_product_once(monkeypatch):
     grid = default_grid(6)
     classify(spec, grid)
     gradient = grid_jet(spec, grid.coords()).gradient
-    assert len(checked) == 6
-    assert all(np.array_equal(g, gradient[i]) for i, g in enumerate(checked))
+    starts = range(0, gradient.shape[1], _POINT_BLOCK)
+    assert len(starts) == 3 and len(checked) == 6 * len(starts)
+    for b, start in enumerate(starts):
+        for i in range(6):
+            assert np.array_equal(checked[6 * b + i], gradient[i, start : start + _POINT_BLOCK])
     # one input: no ratio of partials, nothing to check
     checked.clear()
     one_input = SecondOrderJet(2.0, np.array([0.5]), np.array([[-0.25]]))
@@ -412,6 +418,51 @@ def test_classify_raises_the_error_of_the_reports(case):
     assert exc.value.point == reports.value.point
     assert str(exc.value) == str(reports.value) == f"{message} at point {exc.value.point.coords}"
     assert exc.value.point == _first_raising(lambda p: geometry_report(spec, p), grid.points())
+
+
+#: Specs that fail first in the second block of the 1,632 points of
+#: ``default_grid(2, points_per_axis=40)``, at point 1,520, where x1 (the
+#: slowest axis of its mesh) reaches 1.899: there the marginal product of
+#: x1, 16.7 exp(-16.7 x1), vanishes, and 1.85 - x1 is negative.
+LATER_BLOCK_CASES = {
+    "zero_marginal": FunctionSpec(2, Exp(Mul(Const(-16.7), Var(0))) + Pow(Var(1), 0.5)),
+    "jets": FunctionSpec(2, Pow(Const(1.85) - Var(0), 0.5) + Pow(Var(1), 0.5)),
+}
+
+
+@pytest.mark.parametrize("spec", LATER_BLOCK_CASES.values(), ids=LATER_BLOCK_CASES.keys())
+def test_a_failure_first_in_a_later_block_names_the_point_of_a_per_point_loop(spec):
+    from prodgeo.reports import geometry_report, report_table
+
+    grid = default_grid(2, points_per_axis=40)
+    points = grid.points()
+    first = _first_raising(lambda p: geometry_report(spec, p), points)
+    assert points.index(first) == 1520 > _POINT_BLOCK
+    with pytest.raises(ProdGeoError) as direct:
+        geometry_report(spec, first)
+    for run in (classify, report_table):
+        with pytest.raises(ProdGeoError) as exc:
+            run(spec, grid)
+        assert type(exc.value) is type(direct.value)
+        assert exc.value.point == first
+        assert str(exc.value) == f"{direct.value} at point {first.coords}"
+
+
+def test_pass_rows_equal_one_point_rows_at_the_block_edges_bitwise(report_cells):
+    # 4,128 points: more than two blocks.  Each row of the joined pass is the
+    # row of a pass over its point alone.
+    from prodgeo.reports import geometry_report, report_table
+
+    spec = build_family("acms", {"A": 1.2, "k": (1.0, 0.5, 0.25, 0.7, 0.9, 0.4), "rho": 2.0, "gamma": 1.5})
+    grid = default_grid(6)
+    coords, points, b = grid.coords(), grid.points(), _POINT_BLOCK
+    assert 2 * b < len(points)
+    table = report_table(spec, grid)
+    _, columns = grid_pass(spec, grid, _classify_columns)
+    assert len(table) == len(columns) == len(points)
+    for k in (0, b - 1, b, b + 1, 2 * b, len(points) - 1):
+        assert table[k].tobytes() == report_cells(geometry_report(spec, points[k])).tobytes()
+        assert columns[k].tobytes() == _pass([(spec, coords[:, k : k + 1])], _classify_columns).tobytes()
 
 
 def _first_substitution_error(spec, grid):

@@ -352,7 +352,7 @@ def test_grid_power_overflow_names_the_first_float_of_any_derivative():
 def test_grid_jet_of_acms_carries_only_the_inputs_each_jet_depends_on(monkeypatch):
     # A (sum k_i x_i^2)^(1/2) over six inputs: below the Add chain every
     # jet depends on one input; only the chain's partial sums, the outer
-    # power, its product with A and the joined blocks carry more rows.
+    # power and its product with A carry more rows.
     spec = build_family("acms", {"A": 1.0, "k": (1.0, 0.5, 0.25, 0.8, 0.6, 0.4), "rho": 2.0, "gamma": 1.0})
     coords = default_grid(6).coords()
     rows, full_hessians = [], []
@@ -371,12 +371,11 @@ def test_grid_jet_of_acms_carries_only_the_inputs_each_jet_depends_on(monkeypatc
     monkeypatch.setattr(Jet2, "__init__", recording_init)
     monkeypatch.setattr(np, "zeros", recording_zeros)
     grid_jet(spec, coords)
-    blocks = math.ceil(coords.shape[1] / _POINT_BLOCK)
-    # Per block: six one-row seeds; x_i * x_i and k_i x_i^2 for each i, each
-    # term after the first followed by a partial sum; the power and the
-    # product with A.  Then the blocks joined.
+    # Six one-row seeds; x_i * x_i and k_i x_i^2 for each i, each term
+    # after the first followed by a partial sum; the power and the product
+    # with A.  The grid propagates in one piece, with no join.
     terms = [1, 1] + [r for k in range(2, 7) for r in (1, 1, k)]
-    assert rows == ([1] * 6 + terms + [6, 6]) * blocks + [6]
+    assert rows == [1] * 6 + terms + [6, 6]
     # Zero blocks of all 21 Hessian rows: only where the last partial sum
     # embeds its two operands, none for a seed.
-    assert len(full_hessians) == 2 * blocks
+    assert len(full_hessians) == 2

@@ -1,0 +1,90 @@
+"""Metamorphic relations of the paper's indicators: transformations of a
+function whose effect on the indicators is known without knowing their
+values.
+
+Relation 1: adding a constant b > 0 to f moves only the value lane of its
+jets, so every curvature column and every curvature verdict of f + b is
+that of f, bit for bit."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodgeo.catalog import FunctionSpec, build_family
+from prodgeo.classifier import SampleGrid, _curvature_columns, classify, default_grid, grid_pass
+from prodgeo.errors import ProdGeoError
+from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Pow, Var, sum_chain
+from prodgeo.jets import _POINT_BLOCK
+
+CURVATURE_VERDICTS = ("vanishing_gk", "flat", "minimal", "vanishing_sectional")
+
+
+def positive_trees(n: int):
+    """Expression trees over n inputs that are positive on the positive
+    orthant: positive leaves, and operations that keep a positive value."""
+    leaves = st.one_of(st.integers(0, n - 1).map(Var), st.floats(0.1, 3.0).map(Const))
+    return st.recursive(
+        leaves,
+        lambda t: st.one_of(
+            st.builds(Add, t, t),
+            st.builds(Mul, t, t),
+            st.builds(Div, t, t),
+            st.builds(Pow, t, st.sampled_from([0.5, 1.5, -1.0, 2.0, 3.0])),
+            st.builds(lambda a, c: Exp(Mul(Const(c), a)), t, st.floats(-1.0, 1.0)),
+            st.builds(lambda a: Ln(Add(Const(1.0), a)), t),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def shifted_cases(draw):
+    n = draw(st.integers(2, 3))
+    # A term c x_i^e of each input: every marginal product is nonzero but
+    # where the tree cancels it.
+    exponents = st.sampled_from([0.5, 1.5, 2.0])
+    terms = [Mul(Const(draw(st.floats(0.1, 2.0))), Pow(Var(i), draw(exponents))) for i in range(n)]
+    spec = FunctionSpec(n, sum_chain([draw(positive_trees(n)), *terms]))
+    lo = draw(st.floats(0.1, 1.0))
+    grid = SampleGrid(((lo, lo * draw(st.floats(1.5, 5.0))),) * n, points_per_axis=3, jitter_points=4)
+    return spec, draw(st.floats(0.01, 100.0)), grid
+
+
+def _outcome(run):
+    """``run()``, or the type, message and point of its ProdGeoError."""
+    try:
+        return run()
+    except ProdGeoError as e:
+        return type(e), str(e), e.point
+
+
+def _curvature(spec: FunctionSpec, grid: SampleGrid):
+    """The curvature columns of ``spec`` on ``grid``, as bytes, and the
+    reprs of classify's curvature verdicts, each or its error."""
+    columns = _outcome(lambda: grid_pass(spec, grid, lambda j, _: _curvature_columns(j))[1].tobytes())
+    verdict = _outcome(lambda: classify(spec, grid))
+    if not isinstance(verdict, tuple):
+        verdict = [repr(verdict.property(name)) for name in CURVATURE_VERDICTS]
+    return columns, verdict
+
+
+def _shifted(spec: FunctionSpec, b: float) -> FunctionSpec:
+    return FunctionSpec(spec.n, Add(spec.body, Const(b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_cases())
+def test_a_positive_shift_leaves_the_curvature_bitwise(case):
+    spec, b, grid = case
+    assert _curvature(_shifted(spec, b), grid) == _curvature(spec, grid)
+
+
+def test_a_positive_shift_leaves_the_curvature_bitwise_on_several_blocks():
+    spec = build_family("acms", {"A": 1.2, "k": (1.0, 0.5, 0.25, 0.7, 0.9, 0.4), "rho": 2.0, "gamma": 1.5})
+    grid = default_grid(6)
+    assert len(grid.points()) > 2 * _POINT_BLOCK
+    columns, verdict = _curvature(spec, grid)
+    assert isinstance(columns, bytes) and len(columns) == 8 * 8 * len(grid.points())
+    assert (columns, verdict) == _curvature(_shifted(spec, 3.25), grid)

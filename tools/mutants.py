@@ -98,11 +98,25 @@ MUTANTS = [
         ["tests/test_classifier.py"],
     ),
     (
-        "classifier/each_fixture_reads_its_blocks_first_rows",
+        "classifier/each_fixture_reads_the_first_rows",
         "classifier.py",
         "columns[end - coords.shape[1] : end]",
         "columns[: coords.shape[1]]",
         ["tests/test_classifier.py"],
+    ),
+    (
+        "classifier/pass_joins_its_blocks_in_reverse",
+        "classifier.py",
+        "_pass(block, indicators) for block in blocks]",
+        "_pass(block, indicators) for block in reversed(blocks)]",
+        ["tests/test_classifier.py"],
+    ),
+    (
+        "classifier/k_noise_scaled_by_the_value",
+        "classifier.py",
+        "k_noise = np.prod(row_norms, axis=-1) / slope_power(jets, n + 2)",
+        "k_noise = np.abs(jets.value) * np.prod(row_norms, axis=-1) / slope_power(jets, n + 2)",
+        ["tests/test_metamorphic.py"],
     ),
     (
         "classifier/catalog_fixtures_returns_the_shared_table",
