@@ -56,6 +56,22 @@ FAMILIES = [
 ]
 
 
+#: The catalog fixtures whose Hicks denominator vanishes everywhere: the
+#: straight isoquants of two pure exponential factors.
+DEGENERATE_DENOMINATOR_FIXTURES = [
+    f"{name}_{n}in"
+    for n in (2, 3)
+    for name in ("exp_of_linear", "squared_exponential_product", "transcendental_two_pure_exponentials",
+                 "transcendental_flat_exponential")
+]
+
+
+def _interior(n: int) -> tuple[float, ...]:
+    """A point inside the default box [0.5, 2]^n with distinct coordinates,
+    none of them 1."""
+    return tuple(round(0.8 + 0.15 * i, 2) for i in range(n))
+
+
 def _document(n: int, *terms) -> str:
     """The spec document of the sum of ``terms``, prefix arrays over n inputs."""
     body = terms[0]
@@ -155,6 +171,7 @@ def library_cases():
         build_family,
         build_quasi_product,
         classify,
+        curvature_sample,
         default_grid,
         estimate_sigma,
         evaluate,
@@ -167,7 +184,7 @@ def library_cases():
         verify_catalog,
     )
     from prodgeo.catalog import FunctionSpec
-    from prodgeo.classifier import SampleGrid, TolerancePolicy
+    from prodgeo.classifier import SampleGrid, TolerancePolicy, catalog_fixtures
     from prodgeo.cli import _FAMILY_ALIASES, _parse_params
     from prodgeo.economics import (
         allen_determinant,
@@ -191,6 +208,20 @@ def library_cases():
         spec = build_family(_FAMILY_ALIASES.get(family, family), _parse_params(params))
         cases.append((f"classify/{name}", lambda s=spec: classify(s, default_grid(s.n))))
         cases.append((f"estimate_sigma/{name}", lambda s=spec: estimate_sigma(s, default_grid(s.n))))
+    # The per-point records at one interior point of each function, and the
+    # curvature record where the substitution indicators are undefined.
+    for name, family, params in FAMILIES:
+        spec = build_family(_FAMILY_ALIASES.get(family, family), _parse_params(params))
+        p = _interior(spec.n)
+        cases += [
+            (f"records/{name}/geometry_report", lambda s=spec, p=p: geometry_report(s, p)),
+            (f"records/{name}/curvature_sample", lambda s=spec, p=p: curvature_sample(s, p, extra_quads=[(0, 1, 0, 1)])),
+            (f"records/{name}/substitution_sample", lambda s=spec, p=p: substitution_sample(jet(s, p), p)),
+        ]
+    for fixture in catalog_fixtures():
+        if fixture.name in DEGENERATE_DENOMINATOR_FIXTURES:
+            p = _interior(fixture.spec.n)
+            cases.append((f"records/{fixture.name}/curvature_sample", lambda s=fixture.spec, p=p: curvature_sample(s, p)))
     for a in range(-12, 13, 2):
         if a == -6:
             continue  # FAMILIES has this spec, as cobb_douglas_k0.7_0.7_A1e-6
