@@ -35,11 +35,19 @@ arrays (``np.arange(n)``, the ordered pairs, ``np.triu_indices(n, 1)``),
 giving a leading axis of one value per entry.  Each input's marginal
 product is checked once per jet, in ascending order within a call; a
 degenerate Hicks denominator names the first failing pair given.
+
+The per-point records declare their layout on their fields.  A field's
+``cells`` metadata is its cell shape: per input, per ordered pair i != k
+(a matrix with ones, MRS_ii, on its diagonal) or per pair i < k (mirrored,
+with NaN on its diagonal: undefined for a single input).  ``_record``
+builds a record from one point's flat cells, a field with a shape as its
+read-only array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,14 +57,8 @@ from .linalg import det_pivoted, ordered_pairs, pair_matrix, quadratic_form, sym
 from .points import Point, as_point, at_point
 
 __all__ = [
-    "output_elasticity",
-    "mrs",
-    "hicks_elasticity",
-    "allen_bordered_matrix",
-    "allen_determinant",
-    "allen_elasticity",
-    "SubstitutionSample",
-    "substitution_sample",
+    "output_elasticity", "mrs", "hicks_elasticity", "allen_bordered_matrix", "allen_determinant", "allen_elasticity",
+    "SubstitutionSample", "substitution_sample",
 ]
 
 ZERO_MARGINAL_RTOL = 1e-12
@@ -181,9 +183,9 @@ def allen_elasticity(j: SecondOrderJet, p, i: int, k: int) -> PointValues:
 
 def substitution_fields(j: SecondOrderJet, x) -> dict:
     """Every field of a SubstitutionSample but the point, at the point or
-    grid of ``j`` with coordinates ``x``, as flat cells: a field per input,
-    ordered pair or pair i < k has a leading axis of one value per cell, in
-    the order of ``report_record``; a grid's cells carry a point axis last."""
+    grid of ``j`` with coordinates ``x``, as flat cells keyed by field name:
+    a field with a cell shape has a leading axis of one value per cell, in
+    the order of its shape's index; a grid's cells carry a point axis last."""
     n = j.n
     i, k = triu(n, 1)
     elasticities, mrs_values = output_elasticity(j, x, np.arange(n)), mrs(j, *ordered_pairs(n))
@@ -192,23 +194,22 @@ def substitution_fields(j: SecondOrderJet, x) -> dict:
     # pairs computing Hicks, then Allen elasticities would.
     first_hicks = hicks_elasticity(j, x, i[:1], k[:1])
     allen, delta = _allen(j, x)
-    return dict(
-        elasticities=elasticities,
-        mrs=mrs_values,
-        hicks=np.concatenate([first_hicks, hicks_elasticity(j, x, i[1:], k[1:])]),
-        allen=allen,
-        allen_determinant=delta,
-    )
+    hicks = np.concatenate([first_hicks, hicks_elasticity(j, x, i[1:], k[1:])])
+    return dict(elasticities=elasticities, mrs=mrs_values, hicks=hicks, allen=allen, allen_determinant=delta)
 
 
-def _record_matrices(n: int, cells: dict) -> dict:
-    """The flat ``cells`` of one point as the fields of its record: the
-    MRS as the n x n matrix with ones on the diagonal, each per-pair field
-    as its symmetric matrix, and the elasticities as a vector, all read-only."""
-    fields = dict(cells, elasticities=_read_only(cells["elasticities"]))
-    fields["mrs"] = pair_matrix(n, *ordered_pairs(n), cells["mrs"], 1.0)
-    fields.update((f, symmetric_matrix(n, cells[f])) for f in ("sectional", "hicks", "allen") if f in cells)
-    return fields
+# A cell shape: the index arrays of its cells for n inputs, and its array at one point.
+_Cells = namedtuple("_Cells", "index array")
+_PER_INPUT = _Cells(lambda n: (np.arange(n),), lambda n, v: _read_only(v))
+_PER_ORDERED_PAIR = _Cells(ordered_pairs, lambda n, v: pair_matrix(n, *ordered_pairs(n), v, 1.0))
+_PER_PAIR = _Cells(lambda n: triu(n, 1), symmetric_matrix)
+
+
+def _record(cls, point: Point, **cells):
+    """The ``cls`` record of ``point`` from the flat cells of one point, one
+    keyword per field: a field with a cell shape holds their array."""
+    shapes = {f.name: f.metadata.get("cells") for f in fields(cls)[1:]}
+    return cls(point, **{k: s.array(len(point), cells[k]) if s else cells[k] for k, s in shapes.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,13 +221,13 @@ class SubstitutionSample:
     """
 
     point: Point
-    elasticities: np.ndarray
-    mrs: np.ndarray
-    hicks: np.ndarray
-    allen: np.ndarray
+    elasticities: np.ndarray = field(metadata={"json": "elasticity", "cells": _PER_INPUT})
+    mrs: np.ndarray = field(metadata={"cells": _PER_ORDERED_PAIR})
+    hicks: np.ndarray = field(metadata={"cells": _PER_PAIR})
+    allen: np.ndarray = field(metadata={"cells": _PER_PAIR})
     allen_determinant: float
 
 
 def substitution_sample(j: SecondOrderJet, p) -> SubstitutionSample:
     with at_point(p) as point:
-        return SubstitutionSample(point=point, **_record_matrices(j.n, substitution_fields(j, point)))
+        return _record(SubstitutionSample, point, **substitution_fields(j, point))

@@ -25,40 +25,32 @@ Every indicator takes a one-point jet, giving a float, or a grid jet
 the point's own jet gives, bit for bit.  The pairwise indicators also
 take index arrays, such as the pairs ``np.triu_indices(n, 1)``, giving a
 leading axis of one value per entry; R(i,k,k,i) and K_ik share one minor,
-computed once by ``plane_curvatures``.  Everything in this module is
-pure; grids of points may be evaluated concurrently without
-coordination.
+computed once by ``plane_curvatures``.  ``_curvature_cells`` gives the
+curvature cells of ``curvature_sample`` and of ``reports`` in the one
+order in which they raise; ``CurvatureSample`` declares its layout on its
+fields, as ``economics`` describes.  Everything in this module is pure;
+grids of points may be evaluated concurrently without coordination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .catalog import FunctionSpec
+from .economics import _PER_PAIR, _record
 from .errors import DegenerateOuter, DomainViolation, StructureMissing
 from .jets import PointValues, SecondOrderJet, _read_only, jet, univariate_jet
-from .linalg import det_pivoted, quadratic_form, symmetric_matrix, triu
+from .linalg import det_pivoted, quadratic_form, triu
 from .points import Point, at_point
 
 __all__ = [
-    "slope_w",
-    "slope_power",
-    "hessian_determinant",
-    "gauss_kronecker",
-    "mean_curvature",
-    "mean_curvature_of_jet",
-    "minimality_residual",
-    "plane_curvatures",
-    "sectional_curvature",
-    "riemann_component",
-    "canonical_riemann_quads",
-    "CurvatureSample",
-    "curvature_sample",
-    "quasi_product_hessian_det",
+    "slope_w", "slope_power", "hessian_determinant", "gauss_kronecker", "mean_curvature", "mean_curvature_of_jet",
+    "minimality_residual", "plane_curvatures", "sectional_curvature", "riemann_component", "canonical_riemann_quads",
+    "CurvatureSample", "curvature_sample", "quasi_product_hessian_det",
 ]
 
 
@@ -160,6 +152,14 @@ def canonical_riemann_quads(n: int) -> list[tuple[int, int, int, int]]:
     return [(a, b, b, a) for a, b in zip(i.tolist(), k.tolist())]
 
 
+def _curvature_cells(j: SecondOrderJet) -> tuple[PointValues, ...]:
+    """w, K and H, then R(i, k, k, i) and K_ik of the pairs ``triu(n, 1)``, at
+    the point or grid of ``j``: the indicators that raise first, before the
+    components that would overflow at the same point."""
+    w, k, mean = slope_w(j), gauss_kronecker(j), mean_curvature_of_jet(j)
+    return (w, k, mean, *plane_curvatures(j, *triu(j.n, 1)))
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureSample:
     """All curvature quantities evaluated at one point.
@@ -174,23 +174,17 @@ class CurvatureSample:
     w: float
     gauss_kronecker: float
     mean: float
-    sectional: np.ndarray
+    sectional: np.ndarray = field(metadata={"cells": _PER_PAIR})
     riemann: dict[tuple[int, int, int, int], float]
 
 
 def curvature_sample(spec: FunctionSpec, p, extra_quads=()) -> CurvatureSample:
     with at_point(p) as point:
         j = jet(spec, point)
-        n = j.n
-        # The indicators that raise first, before the components that would
-        # overflow at the same point.
-        w, k, mean = slope_w(j), gauss_kronecker(j), mean_curvature_of_jet(j)
-        riemann, sectional = plane_curvatures(j, *triu(n, 1))
-        riemann = dict(zip(canonical_riemann_quads(n), riemann.tolist()))
+        w, k, mean, riemann, sectional = _curvature_cells(j)
+        riemann = dict(zip(canonical_riemann_quads(j.n), riemann.tolist()))
         riemann.update((q, riemann_component(j, *q)) for q in extra_quads)
-    return CurvatureSample(
-        point=point, w=w, gauss_kronecker=k, mean=mean, sectional=symmetric_matrix(n, sectional), riemann=riemann
-    )
+        return _record(CurvatureSample, point, w=w, gauss_kronecker=k, mean=mean, sectional=sectional, riemann=riemann)
 
 
 def quasi_product_hessian_det(spec: FunctionSpec, p) -> float:

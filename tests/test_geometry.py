@@ -225,6 +225,34 @@ def test_curvature_sample_contents():
     assert sample.riemann[(0, 1, 0, 1)] == -sample.riemann[(0, 1, 1, 0)]
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        f"{family}_{n}in"
+        for n in (2, 3)
+        for family in (
+            "exp_of_linear",
+            "squared_exponential_product",
+            "transcendental_two_pure_exponentials",
+            "transcendental_flat_exponential",
+        )
+    ],
+)
+def test_curvature_sample_computes_no_substitution_indicator(name):
+    # Two pure exponential factors make straight isoquants: the Hicks
+    # denominator vanishes, so only a record with substitution cells raises.
+    from prodgeo.classifier import catalog_fixtures
+    from prodgeo.errors import DegenerateDenominator
+    from prodgeo.reports import geometry_report
+
+    spec = next(fx.spec for fx in catalog_fixtures() if fx.name == name)
+    p = tuple(0.8 + 0.15 * i for i in range(spec.n))
+    sample = curvature_sample(spec, p)
+    assert sample.point.coords == p and sample.sectional.shape == (spec.n, spec.n)
+    with pytest.raises(DegenerateDenominator):
+        geometry_report(spec, p)
+
+
 # ---------------------------------------------------------------------------
 # analytic Hessian determinant for composite functions
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ values.
 
 Relation 1: adding a constant b > 0 to f moves only the value lane of its
 jets, so every curvature column and every curvature verdict of f + b is
-that of f, bit for bit."""
+that of f, bit for bit.  Of the substitution indicators only the output
+elasticities x_i f_i / f move, and E (f + b) equals E f within rounding;
+the MRS, Hicks and Allen cells and their verdicts stay bit for bit."""
+
+import numpy as np
 
 import pytest
 
@@ -17,6 +21,7 @@ from prodgeo.classifier import SampleGrid, _curvature_columns, classify, default
 from prodgeo.errors import ProdGeoError
 from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Pow, Var, sum_chain
 from prodgeo.jets import _POINT_BLOCK
+from prodgeo.reports import report_header, report_table
 
 CURVATURE_VERDICTS = ("vanishing_gk", "flat", "minimal", "vanishing_sectional")
 
@@ -88,3 +93,34 @@ def test_a_positive_shift_leaves_the_curvature_bitwise_on_several_blocks():
     columns, verdict = _curvature(spec, grid)
     assert isinstance(columns, bytes) and len(columns) == 8 * 8 * len(grid.points())
     assert (columns, verdict) == _curvature(_shifted(spec, 3.25), grid)
+
+
+def _report_columns(spec: FunctionSpec, grid: SampleGrid):
+    """``report_table`` of ``spec`` on ``grid`` by column name, or its error."""
+    table = _outcome(lambda: report_table(spec, grid))
+    return table if isinstance(table, tuple) else dict(zip(report_header(spec.n), table.T))
+
+
+def _substitution_verdicts(spec: FunctionSpec, grid: SampleGrid):
+    verdict = _outcome(lambda: classify(spec, grid))
+    return verdict if isinstance(verdict, tuple) else [repr(verdict.property(n)) for n in ("proportional_mrs", "ces")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifted_cases())
+def test_a_positive_shift_moves_only_the_value_and_the_output_elasticities(case):
+    spec, b, grid = case
+    shifted = _shifted(spec, b)
+    before, after = _report_columns(spec, grid), _report_columns(shifted, grid)
+    if isinstance(before, tuple) or isinstance(after, tuple):
+        assert after == before
+    else:
+        moved = [name for name in before if name == "f" or name.startswith("elasticity_x")]
+        assert {k: v.tobytes() for k, v in after.items() if k not in moved} == {
+            k: v.tobytes() for k, v in before.items() if k not in moved
+        }
+        # x_i f_i / f times f: three roundings on each side.
+        for i in range(spec.n):
+            e, shifted_e = (c[f"elasticity_x{i + 1}"] * c["f"] for c in (before, after))
+            assert np.all(abs(shifted_e - e) <= 4 * np.finfo(float).eps * abs(e))
+    assert _substitution_verdicts(shifted, grid) == _substitution_verdicts(spec, grid)

@@ -153,8 +153,8 @@ MUTANTS = [
     (
         "reports/geometry_report_without_the_point_helper",
         "reports.py",
-        "    with at_point(p) as point:\n        return GeometryReport(",
-        "    for point in [Point(tuple(p))]:\n        return GeometryReport(",
+        "    with at_point(p) as point:\n        return _record(GeometryReport,",
+        "    for point in [Point(tuple(p))]:\n        return _record(GeometryReport,",
         ["tests/test_economics.py"],
     ),
     (
@@ -165,11 +165,27 @@ MUTANTS = [
         ["tests/test_catalog.py"],
     ),
     (
-        "reports/sectional_after_the_substitution_cells",
+        "reports/hicks_declared_per_ordered_pair",
         "reports.py",
-        "        sectional=sectional_curvature(j, *triu(j.n, 1)),\n        **substitution,\n",
-        "        **substitution,\n        sectional=sectional_curvature(j, *triu(j.n, 1)),\n",
-        ["tests/test_jets.py"],
+        'hicks: np.ndarray = field(metadata={"cells": _PER_PAIR})',
+        'hicks: np.ndarray = field(metadata={"cells": _PER_ORDERED_PAIR})',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "reports/value_without_its_f_key",
+        "reports.py",
+        'value: float = field(metadata={"json": "f"})',
+        "value: float",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "geometry/curvature_sample_computes_a_hicks_elasticity",
+        "geometry.py",
+        "        riemann.update((q, riemann_component(j, *q)) for q in extra_quads)\n",
+        "        riemann.update((q, riemann_component(j, *q)) for q in extra_quads)\n"
+        "        from .economics import hicks_elasticity\n"
+        "        hicks_elasticity(j, point, 0, 1)\n",
+        ["tests/test_geometry.py"],
     ),
     (
         "linalg/ordered_pairs_as_columns_then_rows",
