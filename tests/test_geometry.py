@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prodgeo.catalog import FunctionSpec, build_family, build_quasi_product
-from prodgeo.errors import DegenerateOuter, DomainViolation, ProdGeoError, StructureMissing
+from prodgeo.classifier import catalog_fixtures
+from prodgeo.errors import DegenerateDenominator, DegenerateOuter, DomainViolation, ProdGeoError, StructureMissing
 from prodgeo.expr import Add, Const, Exp, Ln, Mul, Pow, Var, substitute
 from prodgeo.geometry import (
     canonical_riemann_quads,
@@ -29,6 +30,7 @@ from prodgeo.geometry import (
 )
 from prodgeo.jets import jet
 from prodgeo.linalg import det_pivoted
+from prodgeo.reports import geometry_report
 
 PARABOLOID = FunctionSpec(2, Pow(Var(0), 2.0) + Pow(Var(1), 2.0))
 SQRT_CD = build_family("cobb_douglas", {"A": 1.0, "k": (0.5, 0.5)})
@@ -241,10 +243,6 @@ def test_curvature_sample_contents():
 def test_curvature_sample_computes_no_substitution_indicator(name):
     # Two pure exponential factors make straight isoquants: the Hicks
     # denominator vanishes, so only a record with substitution cells raises.
-    from prodgeo.classifier import catalog_fixtures
-    from prodgeo.errors import DegenerateDenominator
-    from prodgeo.reports import geometry_report
-
     spec = next(fx.spec for fx in catalog_fixtures() if fx.name == name)
     p = tuple(0.8 + 0.15 * i for i in range(spec.n))
     sample = curvature_sample(spec, p)

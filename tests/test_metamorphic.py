@@ -9,7 +9,6 @@ elasticities x_i f_i / f move, and E (f + b) equals E f within rounding;
 the MRS, Hicks and Allen cells and their verdicts stay bit for bit."""
 
 import numpy as np
-
 import pytest
 
 pytest.importorskip("hypothesis")
