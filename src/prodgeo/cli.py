@@ -17,8 +17,10 @@ Exit codes: 0 success / all expectations pass; 1 verification failures;
 (``errors.EvaluationError``).
 
 Output is deterministic: the same invocation produces byte-identical
-bytes, and CSV and JSON render every number identically (shortest
-round-trip float representation, up to 17 significant digits).
+bytes, and CSV and JSON render every finite number identically (shortest
+round-trip float representation, up to 17 significant digits); non-finite
+numbers are ``NaN``, ``Infinity`` and ``-Infinity`` in JSON and ``nan``,
+``inf`` and ``-inf`` in CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+from functools import cache
 from typing import Optional
+
+import numpy as np
 
 from .catalog import FunctionSpec, Point, build_family, spec_from_json
 from .classifier import (
@@ -53,6 +58,7 @@ _FAMILY_ALIASES = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodgeo",
@@ -174,7 +180,7 @@ def _make_tolerances(args) -> TolerancePolicy:
 
 
 # ---------------------------------------------------------------------------
-# Rendering (numbers via repr in both formats)
+# Rendering (numbers via repr in CSV, json's own rendering in JSON)
 # ---------------------------------------------------------------------------
 
 def _cell(v) -> str:
@@ -207,11 +213,22 @@ def _write(text: str, out: Optional[str]):
         raise InputError(f"cannot write output: {e}") from None
 
 
+def _fill(table: np.ndarray, row: str, sep: str, render) -> str:
+    """``row`` once per row of the (P, m) float table, joined by ``sep``, its
+    m ``%s`` slots filled in one ``%`` pass. Each distinct cell is rendered
+    once, by ``render`` of the list of distinct values; cells are told apart
+    by their bits, so 0.0 and -0.0 keep their own texts."""
+    bits, inverse = np.unique(np.ravel(table).view(np.int64), return_inverse=True)
+    texts = render(bits.view(np.float64).tolist())
+    return sep.join([row] * len(table)) % tuple(map(texts.__getitem__, inverse.ravel().tolist()))
+
+
 def _render_analyze(spec, table, fmt: str) -> str:
     """The (P, m) ``report_table`` as CSV, or as the JSON document that
     json.dumps(indent=2) gives for one record per row."""
     if fmt == "csv":
-        return _csv_lines(report_header(spec.n), table.tolist())
+        rows = _fill(table, ",".join(["%s"] * table.shape[1]), "\n", lambda v: list(map(repr, v)))
+        return ",".join(report_header(spec.n)) + "\n" + rows + "\n"
     # The layout comes from json.dumps of the document with a slot for its
     # rows and of one record with a slot for each cell, and the cells are
     # json's own renderings; no key or value of the document renders as a slot.
@@ -221,8 +238,7 @@ def _render_analyze(spec, table, fmt: str) -> str:
     indent = head[head.rindex("\n"):]
     record = json.dumps(report_record(spec.n, ["\0"] * table.shape[1]), indent=2)
     template = record.replace("\n", indent).replace("%", "%%").replace(slot, "%s")
-    rows = json.dumps(table.tolist())[2:-2].split("], [")
-    return head + ("," + indent).join(template % tuple(row.split(", ")) for row in rows) + tail + "\n"
+    return head + _fill(table, template, "," + indent, lambda v: json.dumps(v)[1:-1].split(", ")) + tail + "\n"
 
 
 def _render_classify(verdict: ClassificationVerdict, fmt: str) -> str:

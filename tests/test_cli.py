@@ -2,13 +2,16 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodgeo.catalog import build_family, build_quasi_product, spec_to_json
 from prodgeo.classifier import SampleGrid, default_grid
-from prodgeo.cli import main
+from prodgeo.cli import _render_analyze, main
 from prodgeo.errors import EvaluationError, ExpressionError, InputError, ProdGeoError
 from prodgeo.expr import Const, Exp, Ln, Mul, Pow, Var
 from prodgeo.linalg import ordered_pairs
@@ -312,21 +315,69 @@ def test_analyze_output_equals_the_per_row_rendering(tmp_path, capsys, argv, spe
     assert out == _per_row_analyze(spec, grid, fmt)
 
 
-def test_analyze_renders_non_finite_cells_as_json_and_repr_do():
-    from prodgeo.cli import _render_analyze
+def _analyze_doc(spec, table) -> str:
+    records = [report_record(spec.n, row) for row in table.tolist()]
+    doc = {"schema_version": "1", "command": "analyze", "family": spec.family, "n": spec.n, "rows": records}
+    return json.dumps(doc, indent=2) + "\n"
 
+
+def test_analyze_renders_non_finite_cells_as_json_and_repr_do():
     spec = build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6)})
     width = len(report_header(2))
-    first = [math.nan, math.inf, -math.inf, -0.0, 5e-324] + [0.5] * (width - 5)
+    # 0.0 and -0.0 compare equal, and each keeps its own text.
+    first = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.0] + [0.5] * (width - 6)
     table = np.array([first, first[::-1]])
     out = _render_analyze(spec, table, "json")
-    records = [report_record(2, row) for row in table.tolist()]
-    doc = {"schema_version": "1", "command": "analyze", "family": "cobb_douglas", "n": 2, "rows": records}
-    assert out == json.dumps(doc, indent=2) + "\n"
+    assert out == _analyze_doc(spec, table)
     assert '"point": [\n        NaN,\n        Infinity\n      ],\n      "f": -Infinity,\n      "w": -0.0,' in out
+    assert '"gauss_kronecker": 5e-324,\n      "mean_curvature": 0.0,' in out
     lines = _render_analyze(spec, table, "csv").split("\n")
-    assert lines[1].split(",")[:5] == ["nan", "inf", "-inf", "-0.0", "5e-324"]
-    assert lines[2].split(",")[-5:] == ["5e-324", "-0.0", "-inf", "inf", "nan"]
+    assert lines[1].split(",")[:6] == ["nan", "inf", "-inf", "-0.0", "5e-324", "0.0"]
+    assert lines[2].split(",")[-6:] == ["0.0", "5e-324", "-0.0", "-inf", "inf", "nan"]
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# A small pool, so that cells repeat within a table: both zeros, NaNs of
+# both signs and of different payloads, both infinities, the smallest
+# subnormal and ordinary numbers.
+_CELL_POOL = [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.5, 1.0, -2.5, 0.1, 1e300,
+    *map(_float_of_bits, [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123]),
+]
+
+
+@st.composite
+def _analyze_tables(draw):
+    n = draw(st.sampled_from([2, 3]))
+    cells = st.lists(st.sampled_from(_CELL_POOL), min_size=len(report_header(n)), max_size=len(report_header(n)))
+    return n, np.array(draw(st.lists(cells, min_size=1, max_size=5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_analyze_tables())
+def test_analyze_renders_each_cell_as_its_row_alone_would(case):
+    n, table = case
+    spec = build_family("cobb_douglas", {"A": 1.0, "k": (0.4, 0.6, 0.2)[:n]})
+    assert _render_analyze(spec, table, "json") == _analyze_doc(spec, table)
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert _render_analyze(spec, table, "csv") == ",".join(report_header(n)) + "\n" + rows
+
+
+def test_the_parser_keeps_no_state_between_calls(capsys):
+    analyze = ["analyze", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6", "--points-per-axis", "2"]
+    classify = ["classify", "--family", "cobb_douglas", "--params", "A=1,k=0.4:0.6"]
+    before = [run(capsys, *analyze, "--format", "csv"), run(capsys, *classify)]
+    assert [rc for rc, _, _ in before] == [0, 0]
+    for argv in (classify + ["--no-such-flag"], analyze + ["--format", "xml"], []):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "classify", "--family", "no_such_family")[0] == 2
+    assert [run(capsys, *analyze, "--format", "csv"), run(capsys, *classify)] == before
 
 
 def test_classify_csv_round_trip_values(capsys):

@@ -151,6 +151,13 @@ MUTANTS = [
         ["tests/test_cli.py"],
     ),
     (
+        "cli/distinct_cells_keyed_by_value",
+        "cli.py",
+        "np.unique(np.ravel(table).view(np.int64), return_inverse=True)",
+        "np.unique(np.ravel(table), return_inverse=True)",
+        ["tests/test_cli.py"],
+    ),
+    (
         "reports/geometry_report_without_the_point_helper",
         "reports.py",
         "    with at_point(p) as point:\n        return _record(GeometryReport,",
