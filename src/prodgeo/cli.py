@@ -36,6 +36,7 @@ import numpy as np
 
 from .catalog import FunctionSpec, Point, build_family, spec_from_json
 from .classifier import (
+    SCHEMA_VERSION,
     ClassificationVerdict,
     ExpectationResult,
     PropertyVerdict,
@@ -51,9 +52,7 @@ from .reports import report_header, report_record, report_table
 __all__ = ["main"]
 
 _FAMILY_ALIASES = {
-    "cobb-douglas": "cobb_douglas",
     "spillman": "spillman_mitscherlich",
-    "spillman-mitscherlich": "spillman_mitscherlich",
     "armington": "acms",
 }
 
@@ -233,7 +232,7 @@ def _render_analyze(spec, table, fmt: str) -> str:
     # rows and of one record with a slot for each cell, and the cells are
     # json's own renderings; no key or value of the document renders as a slot.
     slot = json.dumps("\0")
-    doc = {"schema_version": "1", "command": "analyze", "family": spec.family, "n": spec.n, "rows": ["\0"]}
+    doc = {"schema_version": SCHEMA_VERSION, "command": "analyze", "family": spec.family, "n": spec.n, "rows": ["\0"]}
     head, _, tail = json.dumps(doc, indent=2).rpartition(slot)
     indent = head[head.rindex("\n"):]
     record = json.dumps(report_record(spec.n, ["\0"] * table.shape[1]), indent=2)

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DomainViolation, SingularAllenDeterminant, ZeroMarginalProduct
-from .jets import PointValues, SecondOrderJet, _read_only
+from .errors import DegenerateDenominator, SingularAllenDeterminant, ZeroMarginalProduct
+from .jets import PointValues, SecondOrderJet, _read_only, _reject
 from .linalg import det_pivoted, ordered_pairs, pair_matrix, quadratic_form, symmetric_matrix, triu
 from .points import Point, as_point, at_point
 
@@ -81,9 +81,7 @@ def _check_marginals(j: SecondOrderJet, *idx) -> None:
     for i in sorted(set(np.concatenate([np.ravel(a) for a in idx]).tolist()) - j.marginals):
         gi = j.gradient[i]
         zero = zero_marginal(gi, j.gradient_sq)
-        if zero.any():
-            first = float(np.asarray(gi)[zero][0])
-            raise ZeroMarginalProduct(f"marginal product of x{i + 1} is numerically zero ({first!r})")
+        _reject(zero, gi, f"marginal product of x{i + 1} is numerically zero ({{!r}})", ZeroMarginalProduct)
         j.marginals.add(i)
 
 
@@ -152,13 +150,10 @@ def _allen(j: SecondOrderJet, p) -> tuple[np.ndarray, PointValues]:
     n = j.n
     b = allen_bordered_matrix(j)
     delta = det_pivoted(b)
-    if (bad := ~np.isfinite(delta)).any():
-        raise DomainViolation(f"bordered determinant is not finite ({float(np.asarray(delta)[bad][0])!r})")
+    _reject(~np.isfinite(delta), delta, "bordered determinant is not finite ({!r})")
     row_norms = np.sqrt(quadratic_form(b.reshape(-1, n + 1))).reshape(b.shape[:-1])
     singular = abs(delta) <= ZERO_MARGINAL_RTOL * np.prod(row_norms, axis=-1)
-    if singular.any():
-        first = float(np.asarray(delta)[singular][0])
-        raise SingularAllenDeterminant(f"bordered determinant is numerically zero ({first!r})")
+    _reject(singular, delta, "bordered determinant is numerically zero ({!r})", SingularAllenDeterminant)
     # The cofactor of f_ik leaves out row i+1 and column k+1, with sign (-1)^(i+k).
     i, k = triu(n, 1)
     rows, cols = (np.arange(n) + (np.arange(n) >= m[:, None] + 1) for m in (i, k))

@@ -31,6 +31,7 @@ whole real line.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -199,26 +200,22 @@ def _coerce(x) -> Expr:
     raise ExpressionError(f"cannot use {x!r} in an expression")
 
 
+def _fold(node, items, empty: str) -> Expr:
+    """The left fold of ``node`` over the expressions ``items``; none raises ``empty``."""
+    items = list(items)
+    if not items:
+        raise ExpressionError(empty)
+    return functools.reduce(node, items)
+
+
 def product_chain(factors) -> Expr:
     """Left-associated product of the given expressions."""
-    factors = list(factors)
-    if not factors:
-        raise ExpressionError("product_chain needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = Mul(acc, f)
-    return acc
+    return _fold(Mul, factors, "product_chain needs at least one factor")
 
 
 def sum_chain(terms) -> Expr:
     """Left-associated sum of the given expressions."""
-    terms = list(terms)
-    if not terms:
-        raise ExpressionError("sum_chain needs at least one term")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Add(acc, t)
-    return acc
+    return _fold(Add, terms, "sum_chain needs at least one term")
 
 
 def _split(e: Expr) -> tuple[str, tuple, tuple]:
@@ -354,12 +351,11 @@ class Program:
 
         def visit(node, depth: int) -> int:
             reg = ids.get(at := id(node))
-            if reg is not None:
-                if depth + heights[reg] - 1 > MAX_DEPTH:
-                    raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
-                return reg
-            if depth > MAX_DEPTH:
+            # A shared node reaches depth + its height - 1; a new one is checked before its children.
+            if depth + heights.get(reg, 1) - 1 > MAX_DEPTH:
                 raise ExpressionError(f"expression is deeper than {MAX_DEPTH} levels")
+            if reg is not None:
+                return reg
             kind = type(node)
             try:
                 _, arity, count = _KINDS[kind]

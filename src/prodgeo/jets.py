@@ -49,11 +49,12 @@ __all__ = ["Jet2", "SecondOrderJet", "jet", "grid_jet", "univariate_jet", "fd_or
 PointValues = Union[float, np.ndarray]
 
 
-def _reject(bad, x: PointValues, message: str) -> None:
-    """Raise DomainViolation if ``bad`` holds at any point, with the first
-    such entry of ``x`` put into ``message``."""
+def _reject(bad, x: PointValues, message: str, error=DomainViolation) -> None:
+    """Raise ``error`` if ``bad`` holds at any point, with the first such entry
+    of ``x`` put into ``message``.  The jet checks raise DomainViolation, and
+    economics also ZeroMarginalProduct and SingularAllenDeterminant."""
     if bad.any() if isinstance(bad, np.ndarray) else bad:
-        raise DomainViolation(message.format(float(np.asarray(x)[bad][0])))
+        raise error(message.format(float(np.asarray(x)[bad][0])))
 
 
 #: The most points a grid pass or validate evaluates at once: larger temporaries cost more to allocate than to fill.

@@ -63,6 +63,19 @@ def test_analyze_domain_error_exits_3(tmp_path, capsys):
     assert "at point" in err
 
 
+@pytest.mark.parametrize(
+    "spelling, family, params",
+    [
+        ("cobb-douglas", "cobb_douglas", "A=1,k=0.4:0.6"),
+        ("spillman-mitscherlich", "spillman_mitscherlich", "A=1,a=1:1"),
+        ("armington", "acms", "A=1,k=1:1,rho=0.5,gamma=1"),
+    ],
+)
+def test_family_spellings_give_the_canonical_output(capsys, spelling, family, params):
+    outputs = [run(capsys, "classify", "--family", name, "--params", params) for name in (spelling, family)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "classify", "--family", "no_such_family")
     assert rc == 2 and "unknown family" in err

@@ -155,6 +155,7 @@ def test_serialization_keeps_integer_payloads():
 def test_product_chain_left_associates():
     xs = [Var(0), Var(1), Var(2)]
     assert product_chain(xs) == Mul(Mul(Var(0), Var(1)), Var(2))
+    assert sum_chain(xs) == Add(Add(Var(0), Var(1)), Var(2))
 
 
 def test_depth_bound_is_checked_without_recursion():

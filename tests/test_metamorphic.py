@@ -6,7 +6,16 @@ Relation 1: adding a constant b > 0 to f moves only the value lane of its
 jets, so every curvature column and every curvature verdict of f + b is
 that of f, bit for bit.  Of the substitution indicators only the output
 elasticities x_i f_i / f move, and E (f + b) equals E f within rounding;
-the MRS, Hicks and Allen cells and their verdicts stay bit for bit."""
+the MRS, Hicks and Allen cells and their verdicts stay bit for bit.
+
+Relation 2: relabelling the inputs -- x_i becomes input order[i] in the
+body, and the coordinate rows move to match -- moves each per-input and
+per-pair report cell to its relabelled input or pair, and keeps each
+point's curvature columns, the largest over the pairs included.  Only the
+order of some sums and pivots changes, so values move by a few roundings."""
+
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +27,7 @@ from hypothesis import strategies as st
 from prodgeo.catalog import FunctionSpec, build_family
 from prodgeo.classifier import SampleGrid, _curvature_columns, classify, default_grid, grid_pass
 from prodgeo.errors import ProdGeoError
-from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Pow, Var, sum_chain
+from prodgeo.expr import Add, Const, Div, Exp, Ln, Mul, Pow, Var, substitute, sum_chain
 from prodgeo.jets import _POINT_BLOCK
 from prodgeo.reports import report_header, report_table
 
@@ -123,3 +132,74 @@ def test_a_positive_shift_moves_only_the_value_and_the_output_elasticities(case)
             e, shifted_e = (c[f"elasticity_x{i + 1}"] * c["f"] for c in (before, after))
             assert np.all(abs(shifted_e - e) <= 4 * np.finfo(float).eps * abs(e))
     assert _substitution_verdicts(shifted, grid) == _substitution_verdicts(spec, grid)
+
+
+@dataclass(frozen=True)
+class _RelabelledGrid(SampleGrid):
+    """A grid whose coordinate row ``order[i]`` holds its axis i."""
+
+    order: tuple = ()
+
+    def coords(self) -> np.ndarray:
+        return super().coords()[np.argsort(self.order)]
+
+
+@st.composite
+def relabelled_cases(draw):
+    spec, _, grid = draw(shifted_cases())
+    order = draw(st.permutations(range(spec.n)).filter(lambda o: o != sorted(o)))
+    relabelled = FunctionSpec(spec.n, substitute(spec.body, {i: Var(o) for i, o in enumerate(order)}))
+    relabelled_grid = _RelabelledGrid(grid.box, grid.points_per_axis, grid.seed, grid.jitter_points, tuple(order))
+    return spec, grid, relabelled, relabelled_grid
+
+
+#: How far a relabelling may move a value, in units of the value (a report
+#: cell) or of its noise scale (a curvature column): a few roundings of a
+#: sum in another order.  An Allen cell is a ratio of determinants whose
+#: pivots come in another order, so it may move further.  Both lie far
+#: below ``TolerancePolicy.zero_rel``.
+RELABEL_BOUND, ALLEN_RELABEL_BOUND = 1e-13, 1e-10
+
+
+def _within(after: np.ndarray, before: np.ndarray, scale: np.ndarray, bound: float = RELABEL_BOUND) -> bool:
+    with np.errstate(invalid="ignore"):
+        close = (after == before) | (abs(after - before) <= bound * scale)
+    return bool(np.all(close | (np.isnan(after) & np.isnan(before))))
+
+
+def _relabelled_column(name: str, order, header) -> str:
+    """The report column of the relabelled function that holds column
+    ``name``: input i + 1 becomes order[i] + 1, and a pair i < k stays sorted."""
+    prefix, cell = re.fullmatch(r"(.*?)((?:\d+_)*\d+)?", name).groups()
+    if cell is None:
+        return name
+    moved = [order[int(i) - 1] + 1 for i in cell.split("_")]
+    relabelled = prefix + "_".join(map(str, moved))
+    return relabelled if relabelled in header else prefix + "_".join(map(str, sorted(moved)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(relabelled_cases())
+def test_relabelled_inputs_move_the_cells_and_keep_the_curvature_columns(case):
+    spec, grid, relabelled, relabelled_grid = case
+    columns = [
+        _outcome(lambda: grid_pass(s, g, lambda j, _: _curvature_columns(j))[1])
+        for s, g in ((spec, grid), (relabelled, relabelled_grid))
+    ]
+    if any(isinstance(c, tuple) for c in columns):
+        assert type(columns[1][0]) is type(columns[0][0])
+    else:
+        before, after = columns
+        # Each quantity against its noise scale, and each noise scale against itself.
+        assert _within(after, before, before[:, [1, 1, 3, 3, 5, 5, 7, 7]])
+    tables = _report_columns(spec, grid), _report_columns(relabelled, relabelled_grid)
+    if any(isinstance(t, tuple) for t in tables):
+        assert type(tables[1][0]) is type(tables[0][0])
+        return
+    before, after = tables
+    header = report_header(spec.n)
+    for name in header:
+        if re.search(r"\d$", name):  # a per-input or per-pair cell
+            moved = _relabelled_column(name, relabelled_grid.order, header)
+            bound = ALLEN_RELABEL_BOUND if name.startswith("allen_") else RELABEL_BOUND
+            assert _within(after[moved], before[name], abs(before[name]), bound), name

@@ -119,6 +119,13 @@ MUTANTS = [
         ["tests/test_metamorphic.py"],
     ),
     (
+        "classifier/pair_noise_from_one_row",
+        "classifier.py",
+        "row_norms.T[i] * row_norms.T[k]",
+        "row_norms.T[i] * row_norms.T[i]",
+        ["tests/test_metamorphic.py"],
+    ),
+    (
         "classifier/catalog_fixtures_returns_the_shared_table",
         "classifier.py",
         "return list(_fixture_table())",
@@ -193,6 +200,20 @@ MUTANTS = [
         "        from .economics import hicks_elasticity\n"
         "        hicks_elasticity(j, point, 0, 1)\n",
         ["tests/test_geometry.py"],
+    ),
+    (
+        "jets/reject_ignores_its_error_class",
+        "jets.py",
+        "raise error(message.format(",
+        "raise DomainViolation(message.format(",
+        ["tests/test_economics.py"],
+    ),
+    (
+        "expr/chain_folds_from_the_right",
+        "expr.py",
+        "return functools.reduce(node, items)",
+        "return functools.reduce(lambda acc, e: node(e, acc), reversed(items))",
+        ["tests/test_expr.py"],
     ),
     (
         "linalg/ordered_pairs_as_columns_then_rows",

@@ -355,21 +355,15 @@ def library_cases():
     coords_6in = default_grid(6).coords()
     acms_6in_jet = grid_jet(acms_6in, coords_6in)
 
-    def elasticity_6in(j, *index):
-        return output_elasticity(j, coords_6in, *index)
-
-    def hicks_6in(j, *index):
-        return hicks_elasticity(j, coords_6in, *index)
-
     cases += [
-        ("pairwise/sectional_acms_6in", lambda: _pairwise(sectional_curvature, acms_6in_jet, i, k)),
-        ("pairwise/sectional_acms_6in_reversed", lambda: _pairwise(sectional_curvature, acms_6in_jet, k, i)),
-        ("pairwise/riemann_acms_6in", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, k, i)),
-        ("pairwise/riemann_acms_6in_ikik", lambda: _pairwise(riemann_component, acms_6in_jet, i, k, i, k)),
-        ("pairwise/output_elasticity_acms_6in", lambda: _pairwise(elasticity_6in, acms_6in_jet, np.arange(6))),
-        ("pairwise/mrs_acms_6in", lambda: _pairwise(mrs, acms_6in_jet, oi, ok)),
-        ("pairwise/hicks_acms_6in", lambda: _pairwise(hicks_6in, acms_6in_jet, i, k)),
-        ("pairwise/hicks_acms_6in_reversed", lambda: _pairwise(hicks_6in, acms_6in_jet, k, i)),
+        ("pairwise/sectional_acms_6in", lambda: sectional_curvature(acms_6in_jet, i, k)),
+        ("pairwise/sectional_acms_6in_reversed", lambda: sectional_curvature(acms_6in_jet, k, i)),
+        ("pairwise/riemann_acms_6in", lambda: riemann_component(acms_6in_jet, i, k, k, i)),
+        ("pairwise/riemann_acms_6in_ikik", lambda: riemann_component(acms_6in_jet, i, k, i, k)),
+        ("pairwise/output_elasticity_acms_6in", lambda: output_elasticity(acms_6in_jet, coords_6in, np.arange(6))),
+        ("pairwise/mrs_acms_6in", lambda: mrs(acms_6in_jet, oi, ok)),
+        ("pairwise/hicks_acms_6in", lambda: hicks_elasticity(acms_6in_jet, coords_6in, i, k)),
+        ("pairwise/hicks_acms_6in_reversed", lambda: hicks_elasticity(acms_6in_jet, coords_6in, k, i)),
     ]
     return cases
 
@@ -397,17 +391,6 @@ def _det_stacks():
             (f"m{m}_integers", rng.integers(-3, 4, (12, m, m))),
         ]
     return stacks
-
-
-def _pairwise(indicator, j, *index):
-    """``indicator`` of the index arrays ``index``; on a tree whose
-    indicators take one index each (and fail on an array's truth value or
-    hash), the stack of its values pair by pair, so that ``--against``
-    compares the two forms."""
-    try:
-        return indicator(j, *index)
-    except (ValueError, TypeError):
-        return np.stack([indicator(j, *q) for q in zip(*(a.tolist() for a in index))])
 
 
 def _canonical(x):
